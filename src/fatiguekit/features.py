@@ -48,26 +48,55 @@ class ApEnParams:
             raise ArgumentError(f"apen r_scale must be positive, got {self.r_scale}")
 
 
-def _phi(x: np.ndarray, m: int, r: float) -> float:
-    """Mean log correlation sum over the m-length templates of x.
+# Elements of one block of the near matrix (rows x series length), so a
+# block's float64 differences (512 KiB) stay in cache. Of the powers of two
+# from 2**13 to 2**22 this was fastest at n = 540, 1500 and 6000 on a
+# 2-vCPU Xeon VM with one thread: about 1.7x faster than 2**20 at n = 6000.
+_BLOCK_ELEMENTS = 1 << 16
 
-    Chebyshev distance, self-match included, so every count is >= 1 and the
-    log is always defined.
+
+def _phi_pair(x: np.ndarray, m: int, r: float) -> tuple[float, float]:
+    """phi_m and phi_{m+1}: mean log correlation sums over the templates of
+    length m and m + 1.
+
+    Templates i and j match when |x[i+k] - x[j+k]| <= r for every offset k
+    (Chebyshev distance, self-match included, so every count is >= 1). The
+    near matrix |x_i - x_j| <= r is built a block of template rows at a
+    time, only rows [a, b + m) for template rows [a, b): the m-matches are
+    the AND of its first m diagonal shifts, and the (m+1)-matches AND one
+    more shift onto those. Peak memory is O(block * n), not O(n^2). The
+    counts are exact integers, so the result does not depend on the block
+    size.
     """
     n = len(x)
-    count = n - m + 1
-    templates = np.lib.stride_tricks.sliding_window_view(x, m)
-    dist = np.max(np.abs(templates[:, None, :] - templates[None, :, :]), axis=2)
-    c = np.count_nonzero(dist <= r, axis=1) / count
-    return float(np.mean(np.log(c)))
+    count_m, count_m1 = n - m + 1, n - m
+    c_m = np.empty(count_m, dtype=np.intp)
+    c_m1 = np.empty(count_m1, dtype=np.intp)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for a in range(0, count_m, rows):
+        b = min(a + rows, count_m)
+        diff = x[a:min(b + m, n), None] - x
+        near = np.abs(diff, out=diff) <= r
+        match = near[:b - a, :count_m].copy()
+        for k in range(1, m):
+            match &= near[k:k + b - a, k:k + count_m]
+        c_m[a:b] = np.count_nonzero(match, axis=1)
+        b1 = min(b, count_m1)
+        if a < b1:
+            match = match[:b1 - a, :count_m1]
+            match &= near[m:m + b1 - a, m:m + count_m1]
+            c_m1[a:b1] = np.count_nonzero(match, axis=1)
+    return (float(np.mean(np.log(c_m / count_m))),
+            float(np.mean(np.log(c_m1 / count_m1))))
 
 
 def approximate_entropy(x, params: ApEnParams = ApEnParams()) -> float:
     """Approximate entropy of a scalar series.
 
     ApEn(m, r) = phi_m(r) - phi_{m+1}(r) with the self-match-inclusive
-    correlation sums, so a perfectly regular (constant) series scores
-    exactly 0 and values are >= 0 up to floating rounding.
+    correlation sums, so a constant series scores exactly 0. The value is
+    not bounded below by 0: on short or near-periodic series phi_{m+1} can
+    exceed phi_m, and ApEn is truly negative (not a rounding artefact).
 
     Raises:
         InsufficientDataError: fewer than m + 2 samples.
@@ -88,7 +117,8 @@ def approximate_entropy(x, params: ApEnParams = ApEnParams()) -> float:
             # positive tolerance, so both phi terms vanish identically.
             return 0.0
         r = params.r_scale * sigma
-    return _phi(x, params.m, r) - _phi(x, params.m + 1, r)
+    phi_m, phi_m1 = _phi_pair(x, params.m, r)
+    return phi_m - phi_m1
 
 
 @dataclass(frozen=True, slots=True)

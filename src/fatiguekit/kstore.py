@@ -37,22 +37,29 @@ class Taxonomy:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        state: dict[str, int] = {}  # 0 visiting, 1 done
-
-        def visit(c: str, trail: tuple[str, ...]):
-            mark = state.get(c)
-            if mark == 1:
-                return
-            if mark == 0:
-                cycle = " -> ".join(trail + (c,))
-                raise ArgumentError(f"subclass cycle: {cycle}")
-            state[c] = 0
-            for p in self.parents.get(c, ()):
-                visit(p, trail + (c,))
-            state[c] = 1
-
-        for c in self.classes:
-            visit(c, ())
+        # Depth-first over parent links with an explicit stack, so chain
+        # depth is not bounded by the interpreter's recursion limit.
+        done: set[str] = set()
+        for root in self.classes:
+            if root in done:
+                continue
+            trail = [root]
+            on_trail = {root}
+            stack = [iter(self.parents.get(root, ()))]
+            while stack:
+                p = next(stack[-1], None)
+                if p is None:
+                    stack.pop()
+                    c = trail.pop()
+                    on_trail.discard(c)
+                    done.add(c)
+                elif p in on_trail:
+                    cycle = " -> ".join(trail + [p])
+                    raise ArgumentError(f"subclass cycle: {cycle}")
+                elif p not in done:
+                    trail.append(p)
+                    on_trail.add(p)
+                    stack.append(iter(self.parents.get(p, ())))
 
     def ancestors(self, cls: str) -> frozenset[str]:
         """All classes reachable upward from cls, cls included."""

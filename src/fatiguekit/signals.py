@@ -326,7 +326,9 @@ def make_windows(frames: list[SignalFrame], length: float, stride: float) -> lis
 
     Window k spans [k * stride, k * stride + length). Windows holding fewer
     than two frames are dropped: nothing differential can be computed from
-    one sample.
+    one sample. Windows that end by the first frame are empty, so k starts
+    at floor((t0 - length) / stride), not 0: a trace stamped in epoch
+    seconds would otherwise step through about 1e8 empty windows first.
     """
     if length <= 0:
         raise ArgumentError(f"window length must be positive, got {length}")
@@ -337,7 +339,7 @@ def make_windows(frames: list[SignalFrame], length: float, stride: float) -> lis
     last_t = frames[-1].t
     times = np.array([f.t for f in frames])
     windows: list[Window] = []
-    k = 0
+    k = max(0, math.floor((frames[0].t - length) / stride))
     while k * stride < last_t or (k == 0 and last_t == 0.0):
         start = k * stride
         end = start + length

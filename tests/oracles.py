@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def apen_oracle(x, m: int, r: float) -> float:
     """Approximate entropy by direct template counting.
@@ -35,6 +37,26 @@ def apen_oracle(x, m: int, r: float) -> float:
     return phi(m) - phi(m + 1)
 
 
+def apen_dense(x, m: int, r: float) -> float:
+    """Approximate entropy from the full n x n x (m+1) distance tensor.
+
+    The package's former implementation, kept as the bit-exact reference
+    for its row-blocked kernel: both count the same integer matches and
+    then take the same count / N -> log -> mean steps, so the results must
+    be equal with ==, not merely close. Memory is O(n^2 * m) float64.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def phi(mm: int) -> float:
+        count = len(x) - mm + 1
+        templates = np.lib.stride_tricks.sliding_window_view(x, mm)
+        dist = np.max(np.abs(templates[:, None, :] - templates[None, :, :]), axis=2)
+        c = np.count_nonzero(dist <= r, axis=1) / count
+        return float(np.mean(np.log(c)))
+
+    return phi(m) - phi(m + 1)
+
+
 def upcross_oracle(values, threshold: float, hysteresis: float) -> int:
     """Count threshold upcrossings with a re-arm level, by linear scan.
 
@@ -50,6 +72,25 @@ def upcross_oracle(values, threshold: float, hysteresis: float) -> int:
         elif not armed and v < threshold - hysteresis:
             armed = True
     return count
+
+
+def windows_oracle(times, length: float, stride: float) -> list[tuple]:
+    """(start, end, frame times) of every window holding two or more frames.
+
+    Tries every k from 0, window k spanning [k * stride, k * stride + length),
+    and collects its frames by a linear scan.
+    """
+    out = []
+    last = times[-1]
+    k = 0
+    while k * stride < last or (k == 0 and last == 0.0):
+        start = k * stride
+        end = start + length
+        inside = [t for t in times if start <= t < end]
+        if len(inside) >= 2:
+            out.append((start, end, inside))
+        k += 1
+    return out
 
 
 def reachable_oracle(parents: dict, start: str) -> set:

@@ -38,6 +38,30 @@ class TestTaxonomy:
             Taxonomy(classes=frozenset({"A", "B"}),
                      parents={"A": ("B",), "B": ("A",)})
 
+    def test_cycle_message_names_the_path(self):
+        # the search may enter the cycle at either class
+        with pytest.raises(ArgumentError,
+                           match=r"^subclass cycle: (A -> B -> A|B -> A -> B)$"):
+            Taxonomy(classes=frozenset({"A", "B"}),
+                     parents={"A": ("B",), "B": ("A",)})
+
+    def test_deep_chain_snapshot_round_trip(self):
+        # deeper than the interpreter's default recursion limit of 1000
+        names = [f"C{i}" for i in range(3000)]
+        tax = Taxonomy(classes=frozenset(names),
+                       parents={c: (p,) for p, c in zip(names, names[1:])})
+        fb = assert_fact(FactBase(taxonomy=tax, timestamp=0.0), "x", names[-1])
+        snap = load_snapshot(save_snapshot(
+            KnowledgeSnapshot(factbase=fb, trace_id="deep", window=(0.0, 60.0))))
+        assert snap.factbase.taxonomy.parents == tax.parents
+
+    def test_deep_cycle_rejected(self):
+        names = [f"C{i}" for i in range(3000)]
+        parents = {c: (p,) for p, c in zip(names, names[1:])}
+        parents[names[0]] = (names[-1],)
+        with pytest.raises(ArgumentError, match="subclass cycle"):
+            Taxonomy(classes=frozenset(names), parents=parents)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ArgumentError):
             Taxonomy(classes=frozenset({"A"}), parents={"A": ("A",)})

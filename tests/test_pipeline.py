@@ -14,6 +14,7 @@ from fatiguekit import (
     generate_scenario,
     load_config,
     load_snapshot,
+    parse_scenario_spec,
     run,
     simple_spec,
 )
@@ -189,6 +190,19 @@ class TestRunEndToEnd:
         assert len(report.records) == 20
         starts = [r.window.start_t for r in report.records]
         assert starts == [i * 10.0 for i in range(20)]
+
+    def test_negative_apen_qualifies_low(self):
+        # the last window holds 11 samples, a series on which ApEn is truly
+        # negative; it must land in the Low band, not abort the whole run
+        spec = parse_scenario_spec(json.dumps({
+            "duration": 351.1, "sample_rate": 10.0, "seed": 7,
+            "segments": [{"start": 0.0, "end": 351.1, "regime": "alert"}]}))
+        report = run(generate_scenario(spec))
+        assert len(report.records) == 36
+        last = report.records[-1]
+        assert last.features.swa_apen < 0
+        labels = {f.source_feature: f.class_label for f in last.facts}
+        assert labels["swa_apen"] == "ApproximateEntropySWA_Low"
 
     def test_alert_scenario_stays_low(self):
         report = run_scenario("alert")

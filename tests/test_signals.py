@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traces
+from oracles import windows_oracle
 from fatiguekit import (
     ArgumentError,
     DecodeError,
@@ -204,6 +206,30 @@ class TestMakeWindows:
         for f in frames:
             if f.t < last_end:
                 assert f.t in covered
+
+
+    @pytest.mark.parametrize("offset", [0.0, 3.3, 57.0, 1234.5])
+    @pytest.mark.parametrize("length,stride", [
+        (5.0, 5.0), (6.0, 2.0), (2.0, 5.0), (10.0, 3.0), (60.0, 10.0)])
+    def test_matches_all_k_oracle(self, offset, length, stride):
+        # length > stride: windows opening before the first frame still hold it
+        rng = np.random.default_rng(int(offset * 10 + length + stride))
+        times = list(offset + np.cumsum(rng.uniform(0.05, 1.5, size=60)))
+        windows = make_windows([SignalFrame(t=t) for t in times], length, stride)
+        got = [(w.start_t, w.end_t, [f.t for f in w.frames]) for w in windows]
+        assert got == windows_oracle(times, length, stride)
+
+    def test_epoch_timestamps(self):
+        # 1.7e9 and the 0.125 s step are exact in binary, so the windows are
+        # those of the same trace at t = 100, shifted
+        base = [100.0 + i * 0.125 for i in range(960)]
+        epoch = 1.7e9
+        started = time.perf_counter()
+        windows = make_windows([SignalFrame(t=epoch + t) for t in base], 60.0, 10.0)
+        assert time.perf_counter() - started < 1.0
+        expected = windows_oracle(base, 60.0, 10.0)
+        assert [(w.start_t - epoch, len(w.frames)) for w in windows] == \
+            [(start, len(inside)) for start, _, inside in expected]
 
 
 class TestResample:
