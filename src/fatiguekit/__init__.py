@@ -2,7 +2,7 @@
 
 The package is organized as a pipeline of small, separately usable stages:
 
-- signals: trace parsing, validation, windowing
+- signals: columnar traces, parsing, validation, windowing
 - features: per-window numeric descriptors of driver state
 - qualify: numbers to labelled facts via threshold bands
 - kstore: immutable fact base with a class taxonomy and snapshots
@@ -110,10 +110,10 @@ from .signals import (
     ObstacleEvent,
     Sex,
     SignalFrame,
+    Trace,
     Window,
     make_windows,
     parse_trace,
-    resample_uniform,
     serialize_trace,
 )
 
@@ -143,6 +143,5 @@ __all__ = [
     "REGIMES", "ScenarioSpec", "Segment", "generate_scenario",
     "parse_scenario_spec", "simple_spec",
     "CHANNELS", "DriverProfile", "ObstacleEvent", "Sex", "SignalFrame",
-    "Window", "make_windows", "parse_trace", "resample_uniform",
-    "serialize_trace",
+    "Trace", "Window", "make_windows", "parse_trace", "serialize_trace",
 ]

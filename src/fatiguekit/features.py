@@ -331,6 +331,14 @@ def _hold_runs(t: np.ndarray, above: np.ndarray) -> list[tuple[float, float]]:
     return runs
 
 
+def closed_fraction(t: np.ndarray, v: np.ndarray, closed_threshold: float) -> float:
+    """Time-weighted fraction of the span t[0]..t[-1] with closure at or
+    above the threshold; each sample holds until the next one. Needs two or
+    more samples."""
+    closed = v[:-1] >= closed_threshold
+    return float(np.sum(np.diff(t)[closed])) / float(t[-1] - t[0])
+
+
 def eye_features(w: Window, *, closed_threshold: float = 0.8,
                  blink_min_s: float = 0.2, microsleep_min_s: float = 0.5) -> FeatureVector:
     """Eyelid features from the closure channel.
@@ -341,18 +349,14 @@ def eye_features(w: Window, *, closed_threshold: float = 0.8,
     blinks; anything at or past microsleep_min_s is a micro-sleep.
     """
     t, v = _channel_or_raise(w, "eye_closure", 2)
-    closed = v >= closed_threshold
-    hold = np.diff(t)
-    span = float(t[-1] - t[0])
-    closed_time = float(np.sum(hold[closed[:-1]]))
-    runs = _hold_runs(t, closed)
+    runs = _hold_runs(t, v >= closed_threshold)
     blinks = [dur for _, dur in runs
               if blink_min_s - _EPS <= dur < microsleep_min_s - _EPS]
     microsleeps = [dur for _, dur in runs if dur >= microsleep_min_s - _EPS]
     return FeatureVector(
         window_start=w.start_t,
         window_end=w.end_t,
-        perclos80=closed_time / span,
+        perclos80=closed_fraction(t, v, closed_threshold),
         blink_freq=len(blinks) * 60.0 / w.length,
         blink_dur_mean=float(np.mean(blinks)) if blinks else None,
         microsleep_count=len(microsleeps),

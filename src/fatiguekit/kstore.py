@@ -38,9 +38,11 @@ class Taxonomy:
 
     def _check_acyclic(self):
         # Depth-first over parent links with an explicit stack, so chain
-        # depth is not bounded by the interpreter's recursion limit.
+        # depth is not bounded by the interpreter's recursion limit. Roots
+        # go in sorted order: a frozenset's order follows the string hash
+        # seed, and with it which class a cycle is reported from.
         done: set[str] = set()
-        for root in self.classes:
+        for root in sorted(self.classes):
             if root in done:
                 continue
             trail = [root]

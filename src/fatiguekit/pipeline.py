@@ -13,12 +13,20 @@ report bytes and the same snapshot bytes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import ArgumentError, DecodeError, EmptyInputError
-from .features import ApEnParams, FeatureParams, FeatureVector, extract_features
+from .features import (
+    ApEnParams,
+    FeatureParams,
+    FeatureVector,
+    closed_fraction,
+    extract_features,
+)
 from .kstore import (
     FactBase,
     KnowledgeSnapshot,
@@ -39,7 +47,7 @@ from .rules import (
     parse_rules,
     read_fatigue,
 )
-from .signals import DriverProfile, SignalFrame, Window, make_windows
+from .signals import DriverProfile, SignalFrame, Trace, Window, make_windows
 
 # Anchor individuals seeded into every window's fact base, one per verdict
 # source the stock packs know about.
@@ -250,22 +258,27 @@ def decide(levels: list[FatigueLevel | None], policy: AlertPolicy) -> list[int]:
     return out
 
 
-def _perclos_by_window_end(frames, cfg: PipelineConfig) -> list[tuple[float, float]]:
-    """(window_end, perclos) for every full-size closure window, ordered."""
-    from .features import eye_features
+def _perclos_by_window_end(trace: Trace, cfg: PipelineConfig
+                           ) -> tuple[list[float], list[float]]:
+    """Ends and closure fractions of the closure windows holding two or more
+    eyelid samples, in window order."""
+    ends: list[float] = []
+    values: list[float] = []
+    for w in make_windows(trace, cfg.perclos_window_s, cfg.window_stride_s):
+        t, v = w.channel("eye_closure")
+        if len(t) >= 2:
+            ends.append(w.end_t)
+            values.append(closed_fraction(t, v, cfg.feature_params.eye_closed_threshold))
+    return ends, values
 
-    out: list[tuple[float, float]] = []
-    for w in make_windows(frames, cfg.perclos_window_s, cfg.window_stride_s):
-        try:
-            fv = eye_features(w, closed_threshold=cfg.feature_params.eye_closed_threshold)
-        except Exception:
-            continue
-        if fv.perclos80 is not None:
-            out.append((w.end_t, fv.perclos80))
-    return out
+
+def _latest_elapsed(ends: list[float], values: list[float], end_t: float) -> float | None:
+    """The value of the last closure window ending by end_t, if any."""
+    i = bisect_right(ends, end_t + 1e-9)
+    return values[i - 1] if i else None
 
 
-def run(frames: list[SignalFrame], cfg: PipelineConfig | None = None) -> FatigueReport:
+def run(frames: Sequence[SignalFrame], cfg: PipelineConfig | None = None) -> FatigueReport:
     """Process a whole trace.
 
     The eyelid-closure fraction is computed over its own longer sliding
@@ -277,8 +290,9 @@ def run(frames: list[SignalFrame], cfg: PipelineConfig | None = None) -> Fatigue
     """
     if cfg is None:
         cfg = load_config()
-    windows = make_windows(frames, cfg.window_length_s, cfg.window_stride_s)
-    perclos_values = _perclos_by_window_end(frames, cfg)
+    trace = Trace.from_frames(frames)
+    windows = make_windows(trace, cfg.window_length_s, cfg.window_stride_s)
+    perclos_ends, perclos_values = _perclos_by_window_end(trace, cfg)
     taxonomy = default_taxonomy(cfg.scheme)
 
     records: list[WindowRecord] = []
@@ -287,13 +301,7 @@ def run(frames: list[SignalFrame], cfg: PipelineConfig | None = None) -> Fatigue
         fv, notes = extract_features(w, cfg.feature_params)
 
         # join the freshest fully elapsed closure window, if any
-        perclos = None
-        for end_t, value in perclos_values:
-            if end_t <= w.end_t + 1e-9:
-                perclos = value
-            else:
-                break
-        fv = replace(fv, perclos80=perclos)
+        fv = replace(fv, perclos80=_latest_elapsed(perclos_ends, perclos_values, w.end_t))
 
         facts = tuple(qualify(fv, cfg.scheme, cfg.profile))
 

@@ -415,7 +415,11 @@ def fuse(levels: dict[str, FatigueLevel],
     total = sum(weights.get(s) for s in levels)
     if total <= 0:
         raise EmptyInputError("all contributing sources have zero weight")
-    score = sum(weights.get(s) * int(level) for s, level in levels.items()) / total
+    # Each weight is divided by the total before the levels are summed: equal
+    # weights then count exactly 1/n at any scale, so a mean that ties a
+    # cutoff (High and Medium at equal weight tie 1.5) reads the same after
+    # all weights are scaled. Summing first rounded 3w / 2w either way.
+    score = sum(weights.get(s) / total * int(level) for s, level in levels.items())
     if score < cutoffs[0]:
         return FatigueLevel.LOW
     if score < cutoffs[1]:

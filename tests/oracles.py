@@ -6,9 +6,20 @@ recursion. Slow and obvious beats fast and shared-with-the-code-under-test.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
+
+from fatiguekit import (
+    CHANNELS,
+    DecodeError,
+    MonotonicityError,
+    RangeError,
+    SignalFrame,
+)
 
 
 def apen_oracle(x, m: int, r: float) -> float:
@@ -134,3 +145,114 @@ def chaining_oracle(taxonomy_parents: dict, memberships: set, rules) -> frozense
                     facts.add((ind, conclusion))
                     changed = True
     return frozenset(facts)
+
+
+def _coerce_number(text: str, column: str, row: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DecodeError(f"non-numeric value {text!r} in column {column!r}", row=row) from None
+    return value
+
+
+def _build_frame(t, values: dict, row: int) -> SignalFrame:
+    try:
+        return SignalFrame(t=t, **values)
+    except RangeError as e:
+        raise RangeError(e.channel, "range violation", row=row) from e
+
+
+def parse_csv_rowwise(text: str) -> list[SignalFrame]:
+    """CSV trace parsed row by row into frames, each checked on its own.
+
+    The package's former parser, kept as the reference for the columnar
+    one: the same frames for valid input, and the same error class,
+    message and row for the first fault in invalid input.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        return []
+    header = [h.strip() for h in header]
+    known = set(CHANNELS) | {"t"}
+    for col in header:
+        if col not in known:
+            raise DecodeError(f"unknown column {col!r} in header")
+    if "t" not in header:
+        raise DecodeError("header lacks mandatory column 't'")
+    if len(set(header)) != len(header):
+        raise DecodeError("duplicate column in header")
+
+    frames: list[SignalFrame] = []
+    prev_t = None
+    for row_idx, cells in enumerate(reader, start=1):
+        if not cells or all(c.strip() == "" for c in cells):
+            continue
+        if len(cells) != len(header):
+            raise DecodeError(
+                f"expected {len(header)} cells, got {len(cells)}", row=row_idx)
+        record = {}
+        for col, cell in zip(header, cells):
+            cell = cell.strip()
+            if cell == "":
+                continue
+            record[col] = _coerce_number(cell, col, row_idx)
+        if "t" not in record:
+            raise DecodeError("missing value for 't'", row=row_idx)
+        t = record.pop("t")
+        frame = _build_frame(t, record, row_idx)
+        if prev_t is not None and frame.t <= prev_t:
+            raise MonotonicityError(
+                f"t={frame.t} does not increase past {prev_t}", row=row_idx)
+        prev_t = frame.t
+        frames.append(frame)
+    return frames
+
+
+def parse_jsonl_rowwise(text: str) -> list[SignalFrame]:
+    """JSONL trace parsed line by line; the reference for the columnar parser."""
+    frames: list[SignalFrame] = []
+    prev_t = None
+    known = set(CHANNELS) | {"t"}
+    for line_idx, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DecodeError(f"bad JSON: {e.msg}", row=line_idx) from None
+        if not isinstance(obj, dict):
+            raise DecodeError("each line must be a JSON object", row=line_idx)
+        record = {}
+        for key, value in obj.items():
+            if key not in known:
+                raise DecodeError(f"unknown key {key!r}", row=line_idx)
+            if value is None:
+                continue  # explicit null reads the same as an absent key
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DecodeError(f"value for {key!r} must be a number", row=line_idx)
+            record[key] = float(value)
+        if "t" not in record:
+            raise DecodeError("missing key 't'", row=line_idx)
+        t = record.pop("t")
+        frame = _build_frame(t, record, line_idx)
+        if prev_t is not None and frame.t <= prev_t:
+            raise MonotonicityError(
+                f"t={frame.t} does not increase past {prev_t}", row=line_idx)
+        prev_t = frame.t
+        frames.append(frame)
+    return frames
+
+
+def latest_elapsed_scan(pairs, end_t: float):
+    """Value of the last (window_end, value) pair with window_end <= end_t
+    + 1e-9, by a linear scan over pairs ordered by window_end; None if no
+    pair qualifies. The package's former per-window closure join."""
+    found = None
+    for window_end, value in pairs:
+        if window_end <= end_t + 1e-9:
+            found = value
+        else:
+            break
+    return found

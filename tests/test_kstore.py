@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,24 @@ class TestTaxonomy:
                            match=r"^subclass cycle: (A -> B -> A|B -> A -> B)$"):
             Taxonomy(classes=frozenset({"A", "B"}),
                      parents={"A": ("B",), "B": ("A",)})
+
+    def test_cycle_message_independent_of_hash_seed(self):
+        code = ("from fatiguekit import Taxonomy\n"
+                "try:\n"
+                "    Taxonomy(classes=frozenset({'A', 'B'}),\n"
+                "             parents={'A': ('B',), 'B': ('A',)})\n"
+                "except Exception as e:\n"
+                "    print(e)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        messages = set()
+        for seed in ("1", "2", "3", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            messages.add(proc.stdout.strip())
+        assert messages == {"subclass cycle: A -> B -> A"}
 
     def test_deep_chain_snapshot_round_trip(self):
         # deeper than the interpreter's default recursion limit of 1000

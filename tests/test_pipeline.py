@@ -1,7 +1,13 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import traces
+from oracles import latest_elapsed_scan
 
 from fatiguekit import (
     AlertPolicy,
@@ -9,15 +15,19 @@ from fatiguekit import (
     DecodeError,
     FatigueLevel,
     PipelineConfig,
+    Trace,
     decide,
     default_config_text,
+    eye_features,
     generate_scenario,
     load_config,
     load_snapshot,
+    make_windows,
     parse_scenario_spec,
     run,
     simple_spec,
 )
+from fatiguekit.pipeline import _latest_elapsed, _perclos_by_window_end
 
 LOW = FatigueLevel.LOW
 MED = FatigueLevel.MEDIUM
@@ -338,3 +348,51 @@ class TestPipelineConfigObject:
 
     def test_is_pipeline_config(self):
         assert isinstance(load_config(), PipelineConfig)
+
+
+class TestClosurePass:
+    """The closure-window pass keeps only perclos80, and joins it by bisection."""
+
+    @staticmethod
+    def full_pass(trace, cfg):
+        out = []
+        for w in make_windows(trace, cfg.perclos_window_s, cfg.window_stride_s):
+            try:
+                fv = eye_features(w, closed_threshold=cfg.feature_params.eye_closed_threshold)
+            except Exception:
+                continue
+            out.append((w.end_t, fv.perclos80))
+        return out
+
+    @pytest.mark.parametrize("regime,threshold", [("drowsy", 0.8), ("alert", 0.3)])
+    def test_equals_eye_features_on_scenario(self, regime, threshold):
+        cfg = cfg_from({"features": {"eye_closed_threshold": threshold}})
+        trace = Trace.from_frames(generate_scenario(simple_spec(regime, duration=400.0)))
+        ends, values = _perclos_by_window_end(trace, cfg)
+        want = self.full_pass(trace, cfg)
+        assert len(want) > 10
+        assert list(zip(ends, values)) == want  # bit for bit
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces(max_frames=40))
+    def test_equals_eye_features_on_random_traces(self, frames):
+        cfg = cfg_from({"perclos_window_s": 9.0, "window_stride_s": 2.0})
+        trace = Trace.from_frames(frames)
+        ends, values = _perclos_by_window_end(trace, cfg)
+        assert list(zip(ends, values)) == self.full_pass(trace, cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e4), max_size=12, unique=True),
+           st.integers(0, 12),
+           st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 0.5, -0.5]),
+           st.sampled_from([-math.inf, 0.0, math.inf]))
+    @example(ends=[180.0, 190.0], pick=1, offset=-1e-9, nudge=0.0)
+    @example(ends=[180.0, 190.0], pick=1, offset=-1e-9, nudge=-math.inf)
+    @example(ends=[180.0, 190.0], pick=0, offset=-1e-9, nudge=math.inf)
+    def test_bisect_join_equals_linear_scan(self, ends, pick, offset, nudge):
+        ends = sorted(ends)
+        values = [float(i) for i in range(len(ends))]
+        base = ends[pick] if pick < len(ends) else 60.0
+        end_t = math.nextafter(base + offset, nudge) if nudge else base + offset
+        assert _latest_elapsed(ends, values, end_t) == \
+            latest_elapsed_scan(list(zip(ends, values)), end_t)

@@ -367,6 +367,15 @@ class TestFusion:
         levels = {"Mystery": FatigueLevel.MEDIUM}
         assert fuse(levels, FusionWeights()) is FatigueLevel.MEDIUM
 
+    def test_equal_weight_tie_at_cutoff_survives_scaling(self):
+        # High and Medium at equal weight tie the 1.5 cutoff exactly; summing
+        # before dividing rounded this one to Medium and its triple to High
+        levels = {"SteeringWheel": FatigueLevel.HIGH, "Third": FatigueLevel.MEDIUM}
+        w = 43.018805847241126
+        for scale in (1.0, 3.0, 0.1, 1000.0):
+            weights = FusionWeights(weights={"SteeringWheel": w * scale, "Third": w * scale})
+            assert fuse(levels, weights) is FatigueLevel.HIGH
+
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(
         st.sampled_from(["SteeringWheel", "YawAngle", "Third"]),

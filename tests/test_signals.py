@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traces
-from oracles import windows_oracle
+from oracles import parse_csv_rowwise, parse_jsonl_rowwise, windows_oracle
 from fatiguekit import (
+    CHANNELS,
     ArgumentError,
     DecodeError,
     DriverProfile,
@@ -18,10 +20,11 @@ from fatiguekit import (
     RangeError,
     Sex,
     SignalFrame,
+    Trace,
     Window,
+    load_config,
     make_windows,
     parse_trace,
-    resample_uniform,
     serialize_trace,
 )
 
@@ -133,8 +136,8 @@ class TestParseTrace:
             parse_trace(b"", "xml")
 
     def test_empty_input(self):
-        assert parse_trace(b"", "csv") == []
-        assert parse_trace(b"", "jsonl") == []
+        assert list(parse_trace(b"", "csv")) == []
+        assert list(parse_trace(b"", "jsonl")) == []
 
 
 class TestRoundTrip:
@@ -142,13 +145,13 @@ class TestRoundTrip:
     @given(traces())
     def test_csv_round_trip(self, frames):
         blob = serialize_trace(frames, "csv")
-        assert parse_trace(blob, "csv") == frames
+        assert list(parse_trace(blob, "csv")) == frames
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
     def test_jsonl_round_trip(self, frames):
         blob = serialize_trace(frames, "jsonl")
-        assert parse_trace(blob, "jsonl") == frames
+        assert list(parse_trace(blob, "jsonl")) == frames
 
 
 class TestMakeWindows:
@@ -232,51 +235,6 @@ class TestMakeWindows:
             [(start, len(inside)) for start, _, inside in expected]
 
 
-class TestResample:
-    def test_linear_interpolation(self):
-        frames = [SignalFrame(t=0.0, swa=0.0), SignalFrame(t=1.0, swa=10.0)]
-        out = resample_uniform(frames, 0.5)
-        assert [f.swa for f in out] == [0.0, 5.0, 10.0]
-
-    def test_constant_channel(self):
-        frames = frames_gapped(0.0, 7, 0.3, yaw=2.5)
-        out = resample_uniform(frames, 0.3)
-        assert all(abs(f.yaw - 2.5) < 1e-12 for f in out)
-
-    def test_sparse_channel_interpolated_on_own_support(self):
-        frames = [
-            SignalFrame(t=0.0, swa=0.0, yaw=1.0),
-            SignalFrame(t=1.0, yaw=2.0),
-            SignalFrame(t=2.0, swa=4.0, yaw=3.0),
-        ]
-        out = resample_uniform(frames, 1.0)
-        assert [f.swa for f in out] == [0.0, 2.0, 4.0]
-        assert [f.yaw for f in out] == [1.0, 2.0, 3.0]
-
-    def test_no_extrapolation(self):
-        frames = [
-            SignalFrame(t=0.0, yaw=1.0),
-            SignalFrame(t=1.0, swa=0.0, yaw=2.0),
-            SignalFrame(t=2.0, swa=4.0, yaw=3.0),
-        ]
-        out = resample_uniform(frames, 1.0)
-        assert out[0].swa is None  # swa support starts at t=1
-        assert out[1].swa == 0.0
-
-    def test_identity_on_uniform_grid(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=40)
-        frames = frames_gapped(0.0, 40, 0.1, swa=values)
-        out = resample_uniform(frames, 0.1)
-        assert len(out) == 40
-        for f, v in zip(out, values):
-            assert abs(f.swa - v) < 1e-9
-
-    def test_bad_dt(self):
-        with pytest.raises(ArgumentError):
-            resample_uniform([], 0.0)
-
-
 class TestWindow:
     def test_length(self):
         w = Window(start_t=10.0, end_t=70.0,
@@ -330,3 +288,233 @@ def test_nextafter_times_accepted():
     t1 = math.nextafter(1.0, math.inf)
     frames = parse_trace(f"t\n1.0\n{t1!r}".encode(), "csv")
     assert len(frames) == 2
+
+
+# -- the columnar parser against the row-wise reference ----------------------
+
+def outcome(parse, text):
+    """Frames parsed, or the class and message of the error raised."""
+    try:
+        return list(parse(text))
+    except Exception as e:
+        return type(e), str(e)
+
+
+# Columns of the fault-injection traces; the three with a range check are in.
+FAULT_COLUMNS = ("t", "swa", "eye_closure", "mouth_open", "heart_bpm")
+VALID_CELL = {
+    "swa": st.floats(-720.0, 720.0),
+    "eye_closure": st.floats(0.0, 1.0),
+    "mouth_open": st.floats(0.0, 3.0),
+    "heart_bpm": st.floats(30.0, 200.0),
+}
+CSV_FAULTS = ("text", "nan", "eye", "bpm", "negative_t", "repeated_t",
+              "missing_t", "cell_count", "blank_row", "padded")
+JSONL_FAULTS = ("text", "nan", "eye", "bpm", "negative_t", "repeated_t",
+                "missing_t", "unknown_key", "bad_json", "not_object", "bool",
+                "huge_int", "blank_row", "padded")
+
+
+@st.composite
+def fault_records(draw, faults):
+    """Valid rows (dicts of column -> value, None = blank), then one to
+    three faults from `faults`, each at a random row."""
+    n = draw(st.integers(1, 12))
+    times = np.cumsum(draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
+    rows = []
+    for t in times.tolist():
+        row = {"t": t}
+        for col, cell in VALID_CELL.items():
+            row[col] = draw(cell) if draw(st.booleans()) else None
+        rows.append(row)
+    injected = draw(st.lists(st.tuples(st.sampled_from(faults), st.integers(0, n - 1)),
+                             min_size=1, max_size=3))
+    return rows, injected
+
+
+def csv_text(rows, injected, order, draw_sep):
+    header = list(order)
+    lines = [[("" if r[c] is None else repr(r[c])) for c in header] for r in rows]
+    extra = []  # (index, line) inserted after the rows are built
+    for kind, i in injected:
+        cells = lines[i]
+        at = header.index
+        if kind == "text":
+            cells[at("swa")] = "abc"
+        elif kind == "nan":
+            cells[at("swa")] = "nan"
+            cells[at("t")] = "inf" if i % 2 else cells[at("t")]
+        elif kind == "eye":
+            cells[at("eye_closure")] = "1.5"
+        elif kind == "bpm":
+            cells[at("heart_bpm")] = "300" if i % 2 else "0"
+        elif kind == "negative_t":
+            cells[at("t")] = "-1.0"
+        elif kind == "repeated_t":
+            cells[at("t")] = lines[i - 1][at("t")] if i else "0.0"
+        elif kind == "missing_t":
+            cells[at("t")] = ""
+        elif kind == "cell_count":
+            cells.append("1.0")
+        elif kind == "blank_row":
+            # an empty line, a short blank line, a full-width blank line
+            extra.append((i, [[""], ["", ""], [" "] * len(header)][i % 3]))
+        elif kind == "padded":
+            lines[i] = [f"  {c}\t" for c in cells]
+    for i, line in sorted(extra, reverse=True):
+        lines.insert(i, line)
+    return draw_sep.join([",".join(header), *(",".join(c) for c in lines)])
+
+
+def jsonl_text(rows, injected, sep):
+    # a blank swa is written as an explicit null, which reads as absent
+    lines = [json.dumps({k: v for k, v in r.items() if v is not None or k == "swa"})
+             for r in rows]
+    extra = []
+    for kind, i in injected:
+        obj = {k: v for k, v in rows[i].items() if v is not None}
+        text = None
+        if kind == "text":
+            obj["swa"] = "abc"
+        elif kind == "nan":
+            obj["swa"] = float("nan") if i % 2 else float("inf")
+        elif kind == "eye":
+            obj["eye_closure"] = 1.5
+        elif kind == "bpm":
+            obj["heart_bpm"] = 300 if i % 2 else 0
+        elif kind == "negative_t":
+            obj["t"] = -1.0
+        elif kind == "repeated_t":
+            obj["t"] = rows[i - 1]["t"] if i else 0.0
+        elif kind == "missing_t":
+            del obj["t"]
+        elif kind == "unknown_key":
+            obj["wheel"] = 1.0
+        elif kind == "bad_json":
+            text = '{"t": 1.0,'
+        elif kind == "not_object":
+            text = "[1.0]"
+        elif kind == "bool":
+            obj["swa"] = True
+        elif kind == "huge_int":
+            obj["swa"] = 10 ** 400
+        elif kind == "blank_row":
+            extra.append((i, " \t"))
+            continue
+        elif kind == "padded":
+            text = f"  {json.dumps(obj)}  "
+        lines[i] = json.dumps(obj) if text is None else text
+    for i, line in sorted(extra, reverse=True):
+        lines.insert(i, line)
+    return sep.join(lines)
+
+
+class TestParseMatchesRowwiseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(traces())
+    def test_valid_traces_give_equal_frames(self, frames):
+        for fmt, oracle in (("csv", parse_csv_rowwise), ("jsonl", parse_jsonl_rowwise)):
+            text = serialize_trace(frames, fmt).decode()
+            parsed = parse_trace(text, fmt)
+            assert isinstance(parsed, Trace)
+            assert list(parsed) == oracle(text) == frames
+            assert len(parsed) == len(frames)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fault_records(CSV_FAULTS), st.permutations(FAULT_COLUMNS),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_csv_faults_raise_as_the_oracle(self, case, order, sep):
+        text = csv_text(*case, order, sep)
+        assert outcome(lambda x: parse_trace(x, "csv"), text) == \
+            outcome(parse_csv_rowwise, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fault_records(JSONL_FAULTS),
+           st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]))
+    def test_jsonl_faults_raise_as_the_oracle(self, case, sep):
+        text = jsonl_text(*case, sep)
+        assert outcome(lambda x: parse_trace(x, "jsonl"), text) == \
+            outcome(parse_jsonl_rowwise, text)
+
+    @pytest.mark.parametrize("text,error,row", [
+        # a range fault ranks before a decode fault in a later row
+        ("t,eye_closure,swa\n0.0,0.5,1\n0.1,1.5,1\n0.2,0.5,abc\n", RangeError, 2),
+        ("t,swa\n0.0,1\n0.1,abc\n0.05,1\n", DecodeError, 2),
+        ("t,swa\n0.0,1\n0.0,1\n0.2,1,2\n", MonotonicityError, 2),
+        ("t,heart_bpm\n0.0,60\n\n , \n0.1,0\n", RangeError, 4),
+    ])
+    def test_first_fault_wins(self, text, error, row):
+        with pytest.raises(error) as exc:
+            parse_trace(text, "csv")
+        assert exc.value.row == row
+        assert outcome(lambda x: parse_trace(x, "csv"), text) == \
+            outcome(parse_csv_rowwise, text)
+
+
+# -- columns and windows as views ------------------------------------------
+
+def channel_oracle(frames, name, start, end):
+    pairs = [(f.t, getattr(f, name)) for f in frames
+             if start <= f.t < end and getattr(f, name) is not None]
+    return [t for t, _ in pairs], [v for _, v in pairs]
+
+
+_CFG = load_config()
+GEOMETRIES = [(_CFG.window_length_s, _CFG.window_stride_s),
+              (_CFG.perclos_window_s, _CFG.window_stride_s),
+              (5.0, 2.0)]
+
+
+class TestColumnViews:
+    @settings(max_examples=60, deadline=None)
+    @given(traces(max_frames=40), st.sampled_from(GEOMETRIES))
+    def test_window_channel_matches_frame_oracle(self, frames, geometry):
+        trace = Trace.from_frames(frames)
+        windows = make_windows(trace, *geometry)
+        for w in windows:
+            for name in CHANNELS:
+                t, v = w.channel(name)
+                want_t, want_v = channel_oracle(frames, name, w.start_t, w.end_t)
+                assert t.dtype == v.dtype == np.float64
+                assert t.tolist() == want_t and v.tolist() == want_v
+                assert not t.flags.writeable and not v.flags.writeable
+                if len(v):
+                    assert np.shares_memory(v, trace.channel(name)[1])
+                    with pytest.raises(ValueError):
+                        v[0] = 0.0
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_samples_on_window_bounds(self, geometry):
+        # a 0.5 s grid puts samples exactly on window starts and ends
+        frames = [SignalFrame(t=k * 0.5, swa=float(k) if k % 2 else None,
+                              eye_closure=0.5 if k % 3 else None) for k in range(400)]
+        for w in make_windows(frames, *geometry):
+            for name in ("swa", "eye_closure", "yaw"):
+                t, v = w.channel(name)
+                assert (t.tolist(), v.tolist()) == \
+                    channel_oracle(frames, name, w.start_t, w.end_t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(traces())
+    def test_trace_is_a_sequence_of_frames(self, frames):
+        trace = Trace.from_frames(frames)
+        assert len(trace) == len(frames)
+        assert list(trace) == frames
+        assert [trace[i] for i in range(-len(frames), len(frames))] == frames + frames
+        assert trace == Trace.from_frames(list(trace))
+        assert Trace.from_frames(trace) is trace
+        assert trace.channels == tuple(
+            c for c in CHANNELS if any(getattr(f, c) is not None for f in frames))
+
+    def test_from_frames_rejects_unordered_times(self):
+        with pytest.raises(ArgumentError, match="not strictly increasing at t=1.0"):
+            Trace.from_frames([SignalFrame(t=0.0), SignalFrame(t=2.0), SignalFrame(t=1.0)])
+
+    def test_unknown_channel(self):
+        with pytest.raises(ArgumentError):
+            Trace.from_frames([SignalFrame(t=0.0)]).channel("wheel")
+
+    def test_absent_channel_is_empty_and_read_only(self):
+        t, v = Trace.from_frames([SignalFrame(t=0.0, swa=1.0)]).channel("yaw")
+        assert len(t) == len(v) == 0
+        assert not t.flags.writeable and not v.flags.writeable
