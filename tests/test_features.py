@@ -252,6 +252,17 @@ class TestHeadFeatures:
         fv = head_features(w, alpha=alpha)
         assert fv.head_ewvar >= 0.0
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.05])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 600])
+    def test_equals_numpy_scalar_loop(self, n, alpha):
+        from oracles import head_ewma_loop
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 90.0, 1e12):
+            w = window_of({"head_pitch": rng.normal(0.0, scale, n)}, dt=0.1)
+            fv = head_features(w, alpha=alpha)
+            assert (fv.head_ewma, fv.head_ewvar) \
+                == head_ewma_loop(w.channel("head_pitch")[1], alpha)
+
 
 class TestPhysiology:
     def test_constant(self):

@@ -310,3 +310,149 @@ class TestDefaultTaxonomy:
         tax = default_taxonomy()
         for root in ("Vehicle_Measure", "Physical_Measure", "Physiological_Measure"):
             assert root in tax.classes
+
+
+def random_dag(rng) -> tuple[list[str], dict]:
+    n = int(rng.integers(2, 10))
+    names = [f"C{i}" for i in range(n)]
+    parents = {}
+    for i in range(1, n):
+        # edges only toward lower indices keeps the graph acyclic
+        if rng.random() < 0.8:
+            k = int(rng.integers(1, i + 1))
+            picked = rng.choice(names[:i], size=k, replace=False)
+            parents[names[i]] = tuple(str(p) for p in picked)
+    return names, parents
+
+
+class TestMemoisedClosures:
+    @staticmethod
+    def assert_matches_oracles(tax):
+        from oracles import descendants_oracle, reachable_oracle
+        for name in sorted(tax.classes):
+            assert tax.ancestors(name) == frozenset(reachable_oracle(tax.parents, name))
+            assert tax.descendants(name) \
+                == frozenset(descendants_oracle(tax.parents, tax.classes, name))
+
+    def test_random_dags_repeated_calls_and_with_classes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            names, parents = random_dag(rng)
+            tax = Taxonomy(classes=frozenset(names), parents=parents)
+            before = {c: (tax.ancestors(c), tax.descendants(c)) for c in names}
+            for _ in range(3):
+                self.assert_matches_oracles(tax)
+            # C0 gains a parent and the last class a child: a new instance
+            # with closures of its own, the original's left as they were
+            grown = tax.with_classes({"Top": (), "C0": ("Top",), "Leaf": (names[-1],)})
+            self.assert_matches_oracles(grown)
+            assert grown.ancestors("C0") == frozenset({"C0", "Top"})
+            assert "Leaf" in grown.descendants(names[-1])
+            assert {c: (tax.ancestors(c), tax.descendants(c)) for c in names} == before
+            with pytest.raises(UnknownClassError):
+                tax.descendants("Top")
+
+    def test_unknown_class_raises_on_every_call(self):
+        tax = Taxonomy(classes=DIAMOND.classes, parents=dict(DIAMOND.parents))
+        for _ in range(3):
+            with pytest.raises(UnknownClassError):
+                tax.ancestors("Nope")
+            with pytest.raises(UnknownClassError):
+                tax.descendants("Nope")
+        assert tax.descendants("LeftMid") == frozenset({"LeftMid", "Bottom"})
+        with pytest.raises(UnknownClassError):
+            query_class(FactBase(taxonomy=tax), "Nope")
+
+
+# Snapshot writer against the whole-object json.dumps writer.
+
+_KNOWN_META = ("engine_version", "timestamp", "trace_id", "window")
+_names = st.one_of(st.text(max_size=6),
+                   st.sampled_from(["Fahrer\u2028A", "über", "\u2029", "日本",
+                                    "\U0001f600", 'q"\\\n']))
+_numbers = st.one_of(st.integers(min_value=-10**30, max_value=10**30),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308]))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _numbers, _names),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_names, inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def taxonomies(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    parents = {}
+    if draw(st.booleans()):  # else no subclass edges at all
+        for i in range(1, len(names)):
+            ps = draw(st.lists(st.sampled_from(names[:i]), max_size=2, unique=True))
+            if ps or draw(st.booleans()):
+                parents[names[i]] = tuple(ps)
+    return Taxonomy(classes=frozenset(names), parents=parents)
+
+
+@st.composite
+def snapshots(draw, round_trip=False):
+    """Random snapshots; with round_trip, only those load_snapshot reads
+    back exactly (float times, no meta_extra key shadowing a known one)."""
+    tax = draw(taxonomies())
+    members = draw(st.frozensets(st.tuples(_names, st.sampled_from(sorted(tax.classes))),
+                                 max_size=6))
+    values = draw(st.dictionaries(st.tuples(_names, _names), _numbers, max_size=6))
+    times = st.floats(allow_nan=False, allow_infinity=False) if round_trip else _numbers
+    window = draw(st.none() | st.tuples(times, times))
+    keys = _names if round_trip else st.one_of(_names, st.sampled_from(_KNOWN_META))
+    meta_extra = draw(st.dictionaries(keys, _json_values, max_size=3))
+    if round_trip:
+        meta_extra = {k: v for k, v in meta_extra.items() if k not in _KNOWN_META}
+    fb = FactBase(taxonomy=tax, memberships=members,
+                  data_properties=frozenset((i, p, v) for (i, p), v in values.items()),
+                  timestamp=draw(times))
+    return KnowledgeSnapshot(factbase=fb, trace_id=draw(_names), window=window,
+                             meta_extra=meta_extra)
+
+
+class TestSnapshotWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(snapshots())
+    def test_equals_whole_object_writer(self, snap):
+        from oracles import save_snapshot_whole
+        assert save_snapshot(snap) == save_snapshot_whole(snap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(snapshots(round_trip=True))
+    def test_round_trip(self, snap):
+        first = save_snapshot(snap)
+        loaded = load_snapshot(first)
+        assert loaded.factbase.memberships == snap.factbase.memberships
+        assert save_snapshot(loaded) == first
+
+    def test_shadowing_and_empty_cases(self):
+        from oracles import save_snapshot_whole
+        flat = Taxonomy(classes=frozenset({"A", "B"}), parents={"B": ()})
+        cases = [
+            KnowledgeSnapshot(factbase=FactBase(taxonomy=flat)),
+            KnowledgeSnapshot(factbase=FactBase(taxonomy=flat), window=(1.0, 2.0),
+                              meta_extra={"window": {"nested": [1, {"x": None}]},
+                                          "z": [[], {}]}),
+            KnowledgeSnapshot(factbase=FactBase(
+                taxonomy=flat, memberships=frozenset({("F\u2028x", "A")}),
+                data_properties=frozenset({("F\u2028x", "p", -0.0), ("i", "p", 10**40),
+                                           ("j", "p", 1e-300), ("k", "p", 3)}))),
+        ]
+        for snap in cases:
+            assert save_snapshot(snap) == save_snapshot_whole(snap)
+
+    def test_two_taxonomies_alternately(self):
+        # same classes and facts, different edges: only the taxonomy text
+        # tells the snapshots apart
+        from oracles import save_snapshot_whole
+        flat = Taxonomy(classes=DIAMOND.classes, parents={"Bottom": ("Top",)})
+        snaps = [KnowledgeSnapshot(factbase=assert_fact(FactBase(taxonomy=tax), "x", cls))
+                 for tax, cls in ((DIAMOND, "Top"), (flat, "Top"),
+                                  (default_taxonomy(), "PERCLOS"))]
+        for _ in range(3):
+            for snap in snaps:
+                assert save_snapshot(snap) == save_snapshot_whole(snap)
+        assert save_snapshot(snaps[0]) != save_snapshot(snaps[1])

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -396,3 +400,31 @@ class TestClosurePass:
         end_t = math.nextafter(base + offset, nudge) if nudge else base + offset
         assert _latest_elapsed(ends, values, end_t) == \
             latest_elapsed_scan(list(zip(ends, values)), end_t)
+
+
+class TestKnowledgeLayerPerWindow:
+    def test_one_fact_base_per_window_plus_fired_rules(self, monkeypatch):
+        from fatiguekit import kstore
+        built = []
+        post_init = kstore.FactBase.__post_init__
+
+        def counted(fb):
+            built.append(fb)
+            post_init(fb)
+        monkeypatch.setattr(kstore.FactBase, "__post_init__", counted)
+        frames = generate_scenario(simple_spec("drowsy", duration=120.0))
+        report = run(frames, load_config())
+        fired = sum(len(r.fired_rules) for r in report.records)
+        assert fired > 0
+        assert len(built) == len(report.records) + fired
+
+    def test_benchmark_tracer_patch_points_resolve(self):
+        # perfbench's tracer wraps pipeline, rules and kstore names by
+        # getattr; install() fails if one of them is renamed or moved
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from tracer import Tracer; Tracer(180.0).install()"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -396,3 +397,65 @@ class TestFusion:
     def test_unanimity(self, level, n):
         levels = {f"S{i}": level for i in range(n)}
         assert fuse(levels) is level
+
+
+def _reading(fb):
+    """read_fatigue's verdicts, or AmbiguityError's type when it raises."""
+    try:
+        return read_fatigue(fb)
+    except AmbiguityError:
+        return AmbiguityError
+
+
+def _oracle_reading(fb):
+    from oracles import read_fatigue_oracle
+    try:
+        return read_fatigue_oracle(fb)
+    except AmbiguityError:
+        return AmbiguityError
+
+
+class TestMemoisedReading:
+    LEVEL_NAMES = ["AFatigue_Low", "AFatigue_Medium", "AFatigue_High",
+                   "BFatigue_Low", "BFatigue_High", "Plain1", "Plain2", "Plain3"]
+
+    def random_taxonomy(self, rng) -> Taxonomy:
+        names = list(rng.permutation(self.LEVEL_NAMES))
+        parents = {}
+        for i in range(1, len(names)):
+            if rng.random() < 0.6:
+                k = int(rng.integers(1, min(i, 2) + 1))
+                parents[str(names[i])] = tuple(
+                    str(p) for p in rng.choice(names[:i], size=k, replace=False))
+        return Taxonomy(classes=frozenset(str(n) for n in names), parents=parents)
+
+    def test_equals_uncached_reading_on_random_fact_bases(self):
+        rng = np.random.default_rng(77)
+        stock = default_taxonomy()
+        stock_classes = sorted(stock.classes)
+        raised = 0
+        for trial in range(150):
+            tax = stock if trial % 3 == 0 else self.random_taxonomy(rng)
+            classes = stock_classes if tax is stock else sorted(tax.classes)
+            members = {(f"i{int(rng.integers(0, 3))}", str(rng.choice(classes)))
+                       for _ in range(int(rng.integers(0, 8)))}
+            fb = FactBase(taxonomy=tax, memberships=frozenset(members))
+            expected = _oracle_reading(fb)
+            raised += expected is AmbiguityError
+            # twice on the same (warm) taxonomy, once on an equal fresh one
+            fresh = Taxonomy(classes=tax.classes, parents=dict(tax.parents))
+            assert _reading(fb) == expected
+            assert _reading(fb) == expected
+            assert _reading(FactBase(taxonomy=fresh, memberships=fb.memberships)) == expected
+        assert raised > 0
+
+    def test_conflict_still_raises_when_warm(self):
+        tax = default_taxonomy()
+        low = assert_fact(FactBase(taxonomy=tax), "f", "SteeringWheelMeasurmentFatigue_Low")
+        high = assert_fact(FactBase(taxonomy=tax), "f", "SteeringWheelMeasurmentFatigue_High")
+        assert read_fatigue(low) == {"SteeringWheel": FatigueLevel.LOW}
+        assert read_fatigue(high) == {"SteeringWheel": FatigueLevel.HIGH}
+        both = assert_fact(low, "f", "SteeringWheelMeasurmentFatigue_High")
+        for _ in range(2):
+            with pytest.raises(AmbiguityError):
+                read_fatigue(both)
