@@ -278,35 +278,23 @@ class FiredRule:
                 "iteration": self.iteration}
 
 
-def infer(fb: FactBase, pack: RulePack, *, order_seed: int | None = None
-          ) -> tuple[FactBase, list[FiredRule]]:
+def infer(fb: FactBase, pack: RulePack) -> tuple[FactBase, list[FiredRule]]:
     """Run the pack to fixpoint.
 
     Every iteration applies every rule whose conditions hold (conditions are
     read subclass-closed) and asserts the conclusion for every entailed
     anchor individual. Only new memberships are logged. Conditions are
-    positive, so the fixpoint is unique whatever the application order;
-    order_seed shuffles rule and individual order to let tests demonstrate
-    exactly that.
+    positive, so the fixpoint is unique whatever the application order.
     """
-    import random
-
-    rng = random.Random(order_seed) if order_seed is not None else None
     iteration = 0
     log: list[FiredRule] = []
     while True:
         iteration += 1
         new: list[tuple[str, str, str]] = []  # (rule, individual, class)
-        rules = list(pack.rules)
-        if rng is not None:
-            rng.shuffle(rules)
-        for rule in rules:
+        for rule in pack.rules:
             if not all(query_class(fb, c) for c in rule.conditions):
                 continue
-            anchors = sorted(query_class(fb, rule.anchor_class))
-            if rng is not None:
-                rng.shuffle(anchors)
-            for ind in anchors:
+            for ind in sorted(query_class(fb, rule.anchor_class)):
                 if (ind, rule.conclusion_class) not in fb.memberships:
                     new.append((rule.name, ind, rule.conclusion_class))
         if not new:

@@ -70,6 +70,36 @@ def apen_dense(x, m: int, r: float) -> float:
     return phi(m) - phi(m + 1)
 
 
+def apen_rowwise(x, m: int, r: float) -> float:
+    """Approximate entropy with each template's match count taken from its
+    own row of float64 distances, one template at a time.
+
+    The same counts and the same count / N -> log -> mean steps as
+    apen_dense, so it is an == reference too, in O(n) memory: for series
+    whose n x n x (m+1) tensor would not fit.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def phi(mm: int) -> float:
+        count = len(x) - mm + 1
+        c = np.empty(count, dtype=np.intp)
+        for i in range(count):
+            near = np.ones(count, dtype=bool)
+            for k in range(mm):
+                near &= np.abs(x[i + k] - x[k:k + count]) <= r
+            c[i] = np.count_nonzero(near)
+        return float(np.mean(np.log(c / count)))
+
+    return phi(m) - phi(m + 1)
+
+
+def near_positions_oracle(x, xs, r: float) -> list[np.ndarray]:
+    """For each x[i], every position p of the sorted series xs with
+    abs(x[i] - xs[p]) <= r, found by testing all p."""
+    xs = np.asarray(xs, dtype=float)
+    return [np.flatnonzero(np.abs(xi - xs) <= r) for xi in np.asarray(x, dtype=float)]
+
+
 def upcross_oracle(values, threshold: float, hysteresis: float) -> int:
     """Count threshold upcrossings with a re-arm level, by linear scan.
 

@@ -273,7 +273,8 @@ def test_criterion_5_chaining_confluence():
             assert reference.memberships == want
 
             for seed in range(10):
-                shuffled, _ = infer(fb, pack, order_seed=seed)
+                order = np.random.default_rng(seed).permutation(len(pack.rules))
+                shuffled, _ = infer(fb, RulePack(rules=tuple(pack.rules[i] for i in order)))
                 assert shuffled.memberships == reference.memberships
 
 

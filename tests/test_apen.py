@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fatiguekit import ApEnParams, ArgumentError, InsufficientDataError, approximate_entropy
 from fatiguekit import features
-from oracles import apen_dense, apen_oracle
+from oracles import apen_dense, apen_oracle, apen_rowwise, near_positions_oracle
 
 
 class TestOracleAgreement:
@@ -84,6 +84,28 @@ class TestParams:
         with pytest.raises(ArgumentError):
             approximate_entropy(np.zeros((4, 4)), ApEnParams(m=1, r=0.5))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("params", [ApEnParams(), ApEnParams(m=2, r=0.5)])
+    def test_non_finite_input_rejected(self, bad, params):
+        with pytest.raises(ArgumentError, match="finite"):
+            approximate_entropy([1, 2, bad, 3, 1, 2], params)
+
+    def test_overflowing_spread_rejected(self):
+        # every sample is finite, but np.std sums inf and -inf partial sums
+        x = [1e308, -1e308] * 20
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(np.std(x))
+            with pytest.raises(ArgumentError, match="overflows"):
+                approximate_entropy(x)
+
+    def test_overflowing_differences_at_explicit_r(self):
+        # fl(x_i - x_j) overflows to inf for the far pairs: never near
+        x = [1e308, -1e308, 1e308, 0.0, 1.0, -1e308, 5.0]
+        for m in (1, 2):
+            with np.errstate(over="ignore"):
+                want = apen_dense(x, m, 1e300)
+            assert approximate_entropy(x, ApEnParams(m=m, r=1e300)) == want
+
 
 class TestProperties:
     @settings(max_examples=50, deadline=None)
@@ -154,8 +176,9 @@ def _series(kind: str, n: int, seed: int) -> tuple[np.ndarray, float]:
 
 
 class TestBlockedKernel:
-    """The row-blocked kernel counts the same integer matches as the dense
-    reference and takes the same steps after, so results must be == equal."""
+    """The row-blocked, rank-coded kernel counts the same integer matches as
+    the dense float64 reference and takes the same steps after, so results
+    must be == equal whatever the block size and the rank dtype."""
 
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -204,3 +227,77 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _tenths(n: int, seed: int) -> np.ndarray:
+    """A walk on multiples of 0.1: fl(x - r) and fl(x + r) often land on
+    the wrong side of the float predicate |x_i - x_j| <= r."""
+    steps = np.random.default_rng(seed).choice([-1, 0, 1], size=n)
+    return np.cumsum(steps) * 0.1
+
+
+class TestRankCoding:
+    """The exact near ranges behind the rank coding, and the kernel on the
+    series where a naive range would be wrong."""
+
+    @staticmethod
+    def _check_ranges(x, r):
+        xs = np.sort(x, kind="stable")
+        lo, hi = features._near_ranges(x, xs, r)
+        for i, positions in enumerate(near_positions_oracle(x, xs, r)):
+            assert np.array_equal(positions, np.arange(lo[i], hi[i])), (i, x[i])
+        return xs, lo, hi
+
+    def test_ranges_on_tenths_walk_every_edge(self):
+        moved = np.zeros(4, dtype=int)
+        for seed, r in enumerate((0.1, 0.3, 0.7)):
+            x = _tenths(400, seed)
+            xs, lo, hi = self._check_ranges(x, r)
+            guess_lo = np.searchsorted(xs, x - r, "left")
+            guess_hi = np.searchsorted(xs, x + r, "right")
+            moved += [np.sum(guess_lo > lo), np.sum(guess_lo < lo),
+                      np.sum(guess_hi < hi), np.sum(guess_hi > hi)]
+        # the first guesses were off in both directions at both edges
+        assert moved.min() > 0, moved
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_ranges_on_random_walks(self, kind):
+        for seed in range(5):
+            self._check_ranges(*_series(kind, 300, seed))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("r", [0.1, 0.3])
+    def test_tenths_equal_dense_reference(self, m, r):
+        x = _tenths(900, seed=m)
+        assert approximate_entropy(x, ApEnParams(m=m, r=r)) == apen_dense(x, m, r)
+
+    def test_large_tie_groups_on_band_edge(self):
+        # ten values 0.1 apart, about 600 samples each: whole tie groups sit
+        # at distance fl(0.1 k - 0.1 (k - 1)), just above or below r = 0.1
+        x = np.random.default_rng(6000).integers(0, 10, size=6000) * 0.1
+        self._check_ranges(x, 0.1)
+        for m in (1, 2, 3):
+            assert approximate_entropy(x, ApEnParams(m=m, r=0.1)) == apen_rowwise(x, m, 0.1)
+
+    def test_uint16_wrap_is_exact_at_the_limit(self):
+        # (rank - lo) mod 2**16 < width iff lo <= rank < lo + width, for
+        # every rank of the longest series ranked in uint16
+        n = features._UINT16_MAX_N
+        rng = np.random.default_rng(65535)
+        lo = np.concatenate(([0, 0, 0, n - 1, 1, n // 2], rng.integers(0, n, size=26)))
+        width = np.concatenate(([n, 1, n // 2, 1, n - 1, n - n // 2],
+                                rng.integers(1, n - lo[6:] + 1)))
+        rank = np.arange(n)
+        want = (lo[:, None] <= rank) & (rank < (lo + width)[:, None])
+        near = (rank.astype(np.uint16) - lo.astype(np.uint16)[:, None]
+                ) < width.astype(np.uint16)[:, None]
+        assert np.array_equal(near, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_uint32_ranks(self, monkeypatch, m):
+        monkeypatch.setattr(features, "_UINT16_MAX_N", 0)
+        for kind in ("continuous", "tied"):
+            x, r = _series(kind, 700, seed=m)
+            assert approximate_entropy(x, ApEnParams(m=m, r=r)) == apen_dense(x, m, r)
+        x = _tenths(700, seed=m)
+        assert approximate_entropy(x, ApEnParams(m=m, r=0.1)) == apen_dense(x, m, 0.1)

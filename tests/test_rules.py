@@ -11,6 +11,7 @@ from fatiguekit import (
     FactBase,
     FatigueLevel,
     FusionWeights,
+    RulePack,
     RuleSyntaxError,
     Taxonomy,
     UnknownClassError,
@@ -264,7 +265,8 @@ class TestInference:
         pack = load_stock_pack()
         baseline, _ = infer(fb, pack)
         for seed in range(10):
-            shuffled, _ = infer(fb, pack, order_seed=seed)
+            order = np.random.default_rng(seed).permutation(len(pack.rules))
+            shuffled, _ = infer(fb, RulePack(rules=tuple(pack.rules[i] for i in order)))
             assert shuffled.memberships == baseline.memberships
 
 
