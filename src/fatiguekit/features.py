@@ -1,9 +1,15 @@
 """Windowed feature extraction for drive and driver signals.
 
 Each extractor pulls one channel family off a Window and returns a partial
-FeatureVector; extract_features merges the families and is what the pipeline
-calls. Extractors are independent so a trace missing, say, the camera
-channels still yields the vehicular features.
+FeatureVector; extract_features gathers the family vectors, merges them with
+one merge_features call into a single FeatureVector, and is what the
+pipeline calls. Extractors are independent so a trace missing, say, the
+camera channels still yields the vehicular features. A value that overflows
+float64 on finite samples is left absent and noted, never reported.
+
+Eyelid and mouth episodes come from the edges of a boolean mask in one
+numpy pass (_hold_runs); the head-pitch EWMA and the debounced steering
+correction count are the loops that still step sample by sample.
 
 Units are the channel units: degrees for angles, seconds for durations,
 events per minute for frequencies.
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -240,19 +247,25 @@ FEATURE_NAMES = tuple(
     f.name for f in fields(FeatureVector) if f.name not in ("window_start", "window_end"))
 
 
+_feature_values = attrgetter(*FEATURE_NAMES)
+
+
 def merge_features(*parts: FeatureVector) -> FeatureVector:
-    """Combine partial vectors for one window. Later parts win on overlap."""
+    """Combine partial vectors for one window. Later parts win on overlap.
+
+    The present fields of all parts go into one dict, later parts
+    overwriting earlier ones, and one FeatureVector is built from it.
+    """
     if not parts:
         raise ArgumentError("nothing to merge")
-    base = parts[0]
-    for p in parts[1:]:
-        if (p.window_start, p.window_end) != (base.window_start, base.window_end):
+    window = (parts[0].window_start, parts[0].window_end)
+    merged: dict[str, float | int] = {}
+    for p in parts:
+        if (p.window_start, p.window_end) != window:
             raise ArgumentError("cannot merge features from different windows")
-        updates = {f.name: getattr(p, f.name) for f in fields(p)
-                   if f.name not in ("window_start", "window_end")
-                   and getattr(p, f.name) is not None}
-        base = replace(base, **updates)
-    return base
+        merged.update((name, v) for name, v in zip(FEATURE_NAMES, _feature_values(p))
+                      if v is not None)
+    return FeatureVector(*window, **merged)
 
 
 def _channel_or_raise(w: Window, name: str, minimum: int):
@@ -271,6 +284,21 @@ def _resample_series(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     n_steps = int(math.floor((t[-1] - t[0]) / dt + _EPS))
     grid = t[0] + np.arange(n_steps + 1) * dt
     return np.interp(grid, t, v), dt
+
+
+def _resampled_apen(series: np.ndarray, apen: ApEnParams) -> float | None:
+    """ApEn of a resampled channel for its feature field: None when the
+    window is too short for the embedding, and nan when the series or its
+    spread overflowed float64 (np.interp between finite samples near
+    +-1.8e308 can give inf or nan), which extract_features leaves absent."""
+    try:
+        return approximate_entropy(series, apen)
+    except InsufficientDataError:
+        return None
+    except ArgumentError:
+        # ApEnParams checks itself when built and the series is 1-D, so the
+        # input is not finite or its spread overflows
+        return math.nan
 
 
 def count_upcrossings(values, threshold: float, hysteresis: float) -> int:
@@ -310,10 +338,6 @@ def swa_features(w: Window, apen: ApEnParams = ApEnParams(), *,
     crossings = count_upcrossings(abs_v, correction_threshold, correction_hysteresis)
     velocity = np.abs(np.diff(v) / np.diff(t))
     resampled, _ = _resample_series(t, v)
-    try:
-        apen_value = approximate_entropy(resampled, apen)
-    except InsufficientDataError:
-        apen_value = None
     return FeatureVector(
         window_start=w.start_t,
         window_end=w.end_t,
@@ -321,7 +345,7 @@ def swa_features(w: Window, apen: ApEnParams = ApEnParams(), *,
         max_swa_abs=float(np.max(abs_v)),
         swa_correction_freq=crossings * 60.0 / w.length,
         swa_angular_velocity_max=float(np.max(velocity)),
-        swa_apen=apen_value,
+        swa_apen=_resampled_apen(resampled, apen),
     )
 
 
@@ -332,16 +356,12 @@ def yaw_features(w: Window, apen: ApEnParams = ApEnParams()) -> FeatureVector:
     t, v = _channel_or_raise(w, "yaw", 3)
     resampled, dt = _resample_series(t, v)
     accel = np.abs(np.diff(resampled, n=2)) / (dt * dt)
-    try:
-        apen_value = approximate_entropy(resampled, apen)
-    except InsufficientDataError:
-        apen_value = None
     return FeatureVector(
         window_start=w.start_t,
         window_end=w.end_t,
         mean_yaw_abs=float(np.mean(np.abs(v))),
         var_yaw=float(np.var(v)),
-        yaw_apen=apen_value,
+        yaw_apen=_resampled_apen(resampled, apen),
         yaw_accel_max=float(np.max(accel)) if len(accel) else None,
     )
 
@@ -368,27 +388,21 @@ def kinematics_features(w: Window, *, half_lane_width: float = 1.75) -> FeatureV
     return FeatureVector(window_start=w.start_t, window_end=w.end_t, **out)
 
 
-def _hold_runs(t: np.ndarray, above: np.ndarray) -> list[tuple[float, float]]:
-    """Maximal runs where a boolean sample series holds true.
+def _hold_runs(t: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Durations of the maximal runs where a boolean sample series holds
+    true, in time order.
 
     Each sample holds its value until the next sample, so a run covering
     samples i..j lasts t[j+1] - t[i]; a run reaching the final sample is
-    truncated at that sample's time.
+    truncated at that sample's time. With the mask padded by a false sample
+    at each end, its edges alternate: a run starts at a rise and stops, one
+    past its last sample, at the next fall.
     """
-    runs: list[tuple[float, float]] = []
-    n = len(t)
-    i = 0
-    while i < n:
-        if above[i]:
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            end = t[j + 1] if j + 1 < n else t[j]
-            runs.append((float(t[i]), float(end - t[i])))
-            i = j + 1
-        else:
-            i += 1
-    return runs
+    padded = np.zeros(len(above) + 2, dtype=bool)
+    padded[1:-1] = above
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, stops = bounds[0::2], bounds[1::2]
+    return t[np.minimum(stops, len(t) - 1)] - t[starts]
 
 
 def closed_fraction(t: np.ndarray, v: np.ndarray, closed_threshold: float) -> float:
@@ -409,17 +423,16 @@ def eye_features(w: Window, *, closed_threshold: float = 0.8,
     blinks; anything at or past microsleep_min_s is a micro-sleep.
     """
     t, v = _channel_or_raise(w, "eye_closure", 2)
-    runs = _hold_runs(t, v >= closed_threshold)
-    blinks = [dur for _, dur in runs
-              if blink_min_s - _EPS <= dur < microsleep_min_s - _EPS]
-    microsleeps = [dur for _, dur in runs if dur >= microsleep_min_s - _EPS]
+    durations = _hold_runs(t, v >= closed_threshold)
+    blinks = durations[(durations >= blink_min_s - _EPS)
+                       & (durations < microsleep_min_s - _EPS)]
     return FeatureVector(
         window_start=w.start_t,
         window_end=w.end_t,
         perclos80=closed_fraction(t, v, closed_threshold),
         blink_freq=len(blinks) * 60.0 / w.length,
-        blink_dur_mean=float(np.mean(blinks)) if blinks else None,
-        microsleep_count=len(microsleeps),
+        blink_dur_mean=float(np.mean(blinks)) if len(blinks) else None,
+        microsleep_count=int(np.count_nonzero(durations >= microsleep_min_s - _EPS)),
     )
 
 
@@ -428,13 +441,12 @@ def mouth_features(w: Window, *, yawn_ratio: float = 0.6,
     """Yawn detection: mouth_open at or above yawn_ratio held for at least
     yawn_min_dur seconds counts one yawn."""
     t, v = _channel_or_raise(w, "mouth_open", 1)
-    runs = _hold_runs(t, v >= yawn_ratio)
-    yawns = [dur for _, dur in runs if dur >= yawn_min_dur - _EPS]
+    yawns = int(np.count_nonzero(_hold_runs(t, v >= yawn_ratio) >= yawn_min_dur - _EPS))
     return FeatureVector(
         window_start=w.start_t,
         window_end=w.end_t,
-        yawn_count=len(yawns),
-        yawn_freq=len(yawns) * 60.0 / w.length,
+        yawn_count=yawns,
+        yawn_freq=yawns * 60.0 / w.length,
     )
 
 
@@ -452,12 +464,13 @@ def head_features(w: Window, alpha: float = 0.3) -> FeatureVector:
     if not 0 < alpha <= 1:
         raise ArgumentError(f"alpha must lie in (0, 1], got {alpha}")
     t, v = _channel_or_raise(w, "head_pitch", 1)
+    beta = 1 - alpha
     ewma = float(v[0])
     ewvar = 0.0
     for x in v[1:].tolist():
         delta = x - ewma
-        ewma = alpha * x + (1 - alpha) * ewma
-        ewvar = (1 - alpha) * (ewvar + alpha * delta * delta)
+        ewma = alpha * x + beta * ewma
+        ewvar = beta * (ewvar + alpha * delta * delta)
     return FeatureVector(
         window_start=w.start_t, window_end=w.end_t,
         head_ewma=ewma, head_ewvar=ewvar)
@@ -539,14 +552,23 @@ def extract_features(w: Window, params: FeatureParams = FeatureParams()
     """Run every extractor the window can feed.
 
     Returns the merged vector plus a list of notes for the families that
-    could not run (missing channel, too little data). A window missing
-    every channel still returns an all-absent vector.
+    could not run (missing channel, too little data) and for the fields
+    left absent because their arithmetic overflowed float64 on finite
+    samples. A window missing every channel still returns an all-absent
+    vector.
     """
-    fv = FeatureVector(window_start=w.start_t, window_end=w.end_t)
+    parts = [FeatureVector(window_start=w.start_t, window_end=w.end_t)]
     notes: list[str] = []
-    for extract in _EXTRACTORS:
-        try:
-            fv = merge_features(fv, extract(w, params))
-        except (MissingChannelError, InsufficientDataError) as e:
-            notes.append(str(e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for extract in _EXTRACTORS:
+            try:
+                parts.append(extract(w, params))
+            except (MissingChannelError, InsufficientDataError) as e:
+                notes.append(str(e))
+    fv = merge_features(*parts)
+    overflowed = [name for name, v in zip(FEATURE_NAMES, _feature_values(fv))
+                  if v is not None and not math.isfinite(v)]
+    if overflowed:
+        fv = replace(fv, **dict.fromkeys(overflowed))
+        notes.extend(f"{name}: overflows float64, left absent" for name in overflowed)
     return fv, notes

@@ -216,12 +216,36 @@ def _render(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", "\n  ")
 
 
+# Encodes a flat list of JSON leaves with the C encoder, one per line: with
+# ensure_ascii every newline inside a string is escaped, so each "\n" in
+# the text separates two leaves.
+_encode_leaves = json.JSONEncoder(ensure_ascii=True, separators=("\n", ":")).encode
+
+
+def _render_rows(rows: list[tuple], width: int) -> str:
+    """`_render` of a sorted list of rows, each holding `width` JSON scalars
+    (strings and numbers, as fact-base rows do).
+
+    All leaves are encoded by one C-encoder call and laid out in the
+    indent-2 form, rows one level below the list.
+    """
+    if not rows:
+        return "[]"
+    leaves = iter(_encode_leaves([x for row in rows for x in row])[1:-1].split("\n"))
+    rendered = ["[\n      " + ",\n      ".join(row) + "\n    ]"
+                for row in zip(*[leaves] * width)]
+    return "[\n    " + ",\n    ".join(rendered) + "\n  ]"
+
+
 def save_snapshot(s: KnowledgeSnapshot) -> bytes:
     """Canonical JSON bytes. Same snapshot, same bytes, every time.
 
     The bytes are those of `json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=True)` on the whole snapshot object plus a newline; each
-    top-level value is rendered on its own, the taxonomy once per instance.
+    top-level value is rendered on its own. The `data_properties` and
+    `memberships` rows are rendered by `_render_rows`, one C-encoder call
+    per section; `meta` goes through `_render`, and the taxonomy text is
+    rendered once per taxonomy instance.
     """
     fb = s.factbase
     meta = {
@@ -231,9 +255,10 @@ def save_snapshot(s: KnowledgeSnapshot) -> bytes:
         "window": list(s.window) if s.window is not None else None,
     }
     meta.update(s.meta_extra)
+    # tuples sort as the lists of their items would
     parts = (
-        ("data_properties", _render(sorted([list(t) for t in fb.data_properties]))),
-        ("memberships", _render(sorted([list(m) for m in fb.memberships]))),
+        ("data_properties", _render_rows(sorted(fb.data_properties), 3)),
+        ("memberships", _render_rows(sorted(fb.memberships), 2)),
         ("meta", _render(meta)),
         ("taxonomy", fb.taxonomy._snapshot_text),
     )

@@ -70,11 +70,10 @@ class Band:
                 f"band {self.label!r}: lower {self.lower} must be < upper {self.upper}")
 
     def contains(self, value: float) -> bool:
-        if self.lower is not None and value < self.lower:
-            return False
-        if self.upper is not None and value >= self.upper:
-            return False
-        return True
+        """lower <= value < upper; nan lies in no band."""
+        return (value == value
+                and (self.lower is None or self.lower <= value)
+                and (self.upper is None or value < self.upper))
 
 
 def _validate_band_set(feature: str, bands: tuple[Band, ...]) -> tuple[Band, ...]:

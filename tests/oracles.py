@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -373,3 +374,42 @@ def head_ewma_loop(v, alpha: float) -> tuple:
         ewma = alpha * x + (1 - alpha) * ewma
         ewvar = (1 - alpha) * (ewvar + alpha * delta * delta)
     return ewma, ewvar
+
+
+def hold_runs_loop(t, above) -> list[tuple[float, float]]:
+    """(start, duration) of each maximal run where the mask holds true,
+    found by walking the samples; the package's former loop.
+
+    Each sample holds its value until the next sample, so a run covering
+    samples i..j lasts t[j+1] - t[i]; a run reaching the final sample is
+    truncated at that sample's time.
+    """
+    runs: list[tuple[float, float]] = []
+    n = len(t)
+    i = 0
+    while i < n:
+        if above[i]:
+            j = i
+            while j + 1 < n and above[j + 1]:
+                j += 1
+            end = t[j + 1] if j + 1 < n else t[j]
+            runs.append((float(t[i]), float(end - t[i])))
+            i = j + 1
+        else:
+            i += 1
+    return runs
+
+
+def merge_features_fold(*parts):
+    """Merge partial feature vectors by one `dataclasses.replace` per
+    later part, each taking that part's present fields; the package's
+    former merge."""
+    base = parts[0]
+    for p in parts[1:]:
+        if (p.window_start, p.window_end) != (base.window_start, base.window_end):
+            raise ValueError("cannot merge features from different windows")
+        updates = {f.name: getattr(p, f.name) for f in fields(p)
+                   if f.name not in ("window_start", "window_end")
+                   and getattr(p, f.name) is not None}
+        base = replace(base, **updates)
+    return base

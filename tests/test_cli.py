@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -29,6 +30,34 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "18 windows" in captured.err
+
+    def test_finite_samples_that_overflow_float64(self, tmp_path):
+        # every sample is finite, but differences, means and the resampled
+        # series overflow: those fields are left absent and noted
+        import test_contract
+
+        trace = tmp_path / "huge.csv"
+        trace.write_text("t,swa\n" + "".join(
+            f"{k / 10},{1e308 if k % 2 else -1e308}\n" for k in range(600)))
+        out = tmp_path / "report.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked RuntimeWarning exits 2
+            assert main(["run", str(trace), "--out", str(out)]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"non-JSON constant {name} in the report")
+
+        lines = out.read_text("utf-8").splitlines()
+        assert len(lines) == 6
+        for line in lines:
+            rec = json.loads(line, parse_constant=no_constant)
+            assert rec["features"]["max_swa_abs"] == 1e308
+            for name in ("mean_swa_abs", "swa_angular_velocity_max", "swa_apen"):
+                assert name not in rec["features"]
+                assert f"{name}: overflows float64, left absent" in rec["errors"]
+        for case in sorted(test_contract.CASES):
+            (tmp_path / case).mkdir()
+            test_contract.test_report_and_snapshot_bytes(case, tmp_path / case)
 
     def test_report_to_stdout(self, drowsy_trace, capsys):
         assert main(["run", str(drowsy_trace)]) == 0

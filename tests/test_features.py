@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,8 @@ from fatiguekit import (
     swa_features,
     yaw_features,
 )
-from oracles import upcross_oracle
+from fatiguekit.features import _EPS, FEATURE_NAMES, _hold_runs
+from oracles import hold_runs_loop, merge_features_fold, upcross_oracle
 
 
 def window_of(values_by_channel: dict, dt: float = 1.0, t0: float = 0.0,
@@ -201,6 +205,98 @@ class TestEyeFeatures:
         assert fv.microsleep_count == 0
 
 
+def window_at(times, channel: str, values) -> Window:
+    """A window holding one channel's samples at the given times; it ends
+    one second after the last sample."""
+    frames = tuple(SignalFrame(t=float(t), **{channel: float(v)})
+                   for t, v in zip(times, values))
+    return Window(start_t=frames[0].t, end_t=frames[-1].t + 1.0, frames=frames)
+
+
+@st.composite
+def masked_times(draw, min_size=1, max_size=60):
+    """Strictly increasing times and a boolean mask of the same length."""
+    mask = draw(st.lists(st.booleans(), min_size=min_size, max_size=max_size))
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=len(mask) - 1,
+                         max_size=len(mask) - 1))
+    t = [draw(st.floats(min_value=0.0, max_value=1e6))]
+    for gap in gaps:
+        t.append(math.nextafter(t[-1] + gap, math.inf))
+    return np.array(t), np.array(mask)
+
+
+def _ulps_from(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def eye_oracle(t, v, closed=0.8, blink_min_s=0.2, microsleep_min_s=0.5):
+    """(blink count, mean blink duration, micro-sleep count) from the loop."""
+    runs = hold_runs_loop(t, v >= closed)
+    blinks = [d for _, d in runs if blink_min_s - _EPS <= d < microsleep_min_s - _EPS]
+    sleeps = [d for _, d in runs if d >= microsleep_min_s - _EPS]
+    return len(blinks), float(np.mean(blinks)) if blinks else None, len(sleeps)
+
+
+class TestHoldRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(masked_times())
+    def test_equals_loop(self, case):
+        t, mask = case
+        assert _hold_runs(t, mask).tolist() == [d for _, d in hold_runs_loop(t, mask)]
+
+    @pytest.mark.parametrize("mask", [
+        [True], [False], [True] * 7, [False] * 7,
+        [True, True, False, False, True],      # runs touching both ends
+        [False, True, True, True, False],
+        [True, False] * 5, [False, True] * 5,  # alternating
+    ])
+    def test_edge_masks(self, mask):
+        t = np.cumsum(np.linspace(0.1, 0.9, len(mask)))
+        mask = np.array(mask)
+        assert _hold_runs(t, mask).tolist() == [d for _, d in hold_runs_loop(t, mask)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(masked_times(min_size=2, max_size=120))
+    def test_eye_counts_equal_loop(self, case):
+        t, mask = case
+        v = np.where(mask, 0.9, 0.1)
+        w = window_at(t, "eye_closure", v)
+        fv = eye_features(w, closed_threshold=0.8)
+        blinks, mean_dur, sleeps = eye_oracle(t, v)
+        assert fv.blink_freq == blinks * 60.0 / w.length
+        assert fv.blink_dur_mean == mean_dur
+        assert fv.microsleep_count == sleeps
+
+    # (edge, ulps past it, blinks, micro-sleeps): a duration at or past an
+    # edge lands in the class above it
+    @pytest.mark.parametrize("edge, ulps, want", [
+        (0.2 - _EPS, -1, (0, 0)), (0.2 - _EPS, 0, (1, 0)), (0.2 - _EPS, 1, (1, 0)),
+        (0.5 - _EPS, -1, (1, 0)), (0.5 - _EPS, 0, (0, 1)), (0.5 - _EPS, 1, (0, 1)),
+    ])
+    def test_eye_durations_at_thresholds(self, edge, ulps, want):
+        # one closed sample at t = 0, held for the duration
+        d = _ulps_from(edge, ulps)
+        t = np.array([0.0, d, d + 1.0])
+        v = np.array([1.0, 0.0, 0.0])
+        assert _hold_runs(t, v >= 0.8).tolist() == [d]
+        w = window_at(t, "eye_closure", v)
+        fv = eye_features(w)
+        blinks, mean_dur, sleeps = eye_oracle(t, v)
+        assert (blinks, sleeps) == want
+        assert (fv.blink_freq, fv.blink_dur_mean, fv.microsleep_count) \
+            == (blinks * 60.0 / w.length, mean_dur, sleeps)
+
+    @pytest.mark.parametrize("ulps, want", [(-1, 0), (0, 1), (1, 1)])
+    def test_yawn_duration_at_threshold(self, ulps, want):
+        d = _ulps_from(3.0 - _EPS, ulps)
+        t = np.array([0.0, d, d + 1.0])
+        v = np.array([0.9, 0.0, 0.0])
+        assert sum(dur >= 3.0 - _EPS for _, dur in hold_runs_loop(t, v >= 0.6)) == want
+        assert mouth_features(window_at(t, "mouth_open", v)).yawn_count == want
+
+
 class TestMouthFeatures:
     def test_never_open(self):
         w = window_of({"mouth_open": [0.1] * 30}, dt=1.0, length=60.0)
@@ -326,6 +422,43 @@ class TestMergeAndExtract:
         a = FeatureVector(window_start=0.0, window_end=60.0, mean_bpm=70.0)
         b = FeatureVector(window_start=0.0, window_end=60.0, mean_bpm=75.0)
         assert merge_features(a, b).mean_bpm == 75.0
+
+    def test_merge_rejects_a_late_mismatch(self):
+        a = FeatureVector(window_start=0.0, window_end=60.0)
+        c = FeatureVector(window_start=0.0, window_end=61.0, mean_bpm=71.0)
+        with pytest.raises(ArgumentError):
+            merge_features(a, a, c)
+
+    def test_merge_nothing(self):
+        with pytest.raises(ArgumentError):
+            merge_features()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(
+        st.sampled_from(FEATURE_NAMES),
+        st.none() | st.integers(-5, 5) | st.floats(allow_nan=False)),
+        min_size=1, max_size=6))
+    def test_merge_equals_replace_fold(self, partials):
+        parts = [FeatureVector(window_start=10.0, window_end=70.0, **p) for p in partials]
+        merged = merge_features(*parts)
+        assert repr(merged) == repr(merge_features_fold(*parts))
+
+    def test_overflowing_fields_left_absent(self):
+        # finite samples whose differences, sums, squares and resampled
+        # series overflow
+        huge = [1e308, -1e308] * 30
+        w = window_of({"swa": huge, "yaw": huge, "head_pitch": huge},
+                      dt=1.0, length=60.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fv, notes = extract_features(w)
+        overflowed = ("mean_swa_abs", "swa_angular_velocity_max", "swa_apen",
+                      "mean_yaw_abs", "var_yaw", "yaw_apen", "yaw_accel_max", "head_ewvar")
+        assert notes[-len(overflowed):] \
+            == [f"{name}: overflows float64, left absent" for name in overflowed]
+        assert fv.to_dict() == {"window_start": 0.0, "window_end": 60.0,
+                                "max_swa_abs": 1e308, "swa_correction_freq": 0.0,
+                                "head_ewma": head_features(w).head_ewma}
 
     def test_extract_partial_trace(self):
         w = window_of({"swa": [0.0, 3.0, 1.0], "heart_bpm": [80.0, 82.0, 81.0]},

@@ -456,3 +456,46 @@ class TestSnapshotWriter:
             for snap in snaps:
                 assert save_snapshot(snap) == save_snapshot_whole(snap)
         assert save_snapshot(snaps[0]) != save_snapshot(snaps[1])
+
+
+class TestSnapshotRows:
+    """The row renderer against the whole-object writer on leaves whose
+    encoding or layout could go wrong."""
+
+    NAMES = ("plain", "line\nbreak", "sep\u2028arator", 'quo"te', "back\\slash",
+             "[bracket],", "café \U0001f600")
+
+    @pytest.mark.parametrize("members, values", [
+        ((), ()),
+        ((("x", "A"),), ()),
+        ((), (("x", "p", 1.0),)),
+    ])
+    def test_empty_and_single_rows(self, members, values):
+        from oracles import save_snapshot_whole
+        tax = Taxonomy(classes=frozenset({"A"}), parents={})
+        snap = KnowledgeSnapshot(factbase=FactBase(
+            taxonomy=tax, memberships=frozenset(members),
+            data_properties=frozenset(values)))
+        assert save_snapshot(snap) == save_snapshot_whole(snap)
+
+    @pytest.mark.parametrize("value", [0, 3, -7, 10**20, -0.0, 0.0, 5e-324, -5e-324,
+                                       1e16, 1e-7, 123456789.125, 1.7976931348623157e308])
+    def test_numbers(self, value):
+        from oracles import save_snapshot_whole
+        tax = Taxonomy(classes=frozenset({"A"}), parents={})
+        snap = KnowledgeSnapshot(factbase=FactBase(
+            taxonomy=tax, memberships=frozenset({("x", "A")}),
+            data_properties=frozenset({("x", "p", value), ("y", "p", 1.5)})))
+        assert save_snapshot(snap) == save_snapshot_whole(snap)
+
+    def test_names_needing_escapes(self):
+        from oracles import save_snapshot_whole
+        tax = Taxonomy(classes=frozenset(self.NAMES), parents={})
+        snap = KnowledgeSnapshot(factbase=FactBase(
+            taxonomy=tax,
+            memberships=frozenset((i, c) for i in self.NAMES for c in self.NAMES[:3]),
+            data_properties=frozenset((i, p, float(k)) for k, (i, p) in enumerate(
+                itertools.product(self.NAMES, repeat=2)))))
+        data = save_snapshot(snap)
+        assert data == save_snapshot_whole(snap)
+        assert load_snapshot(data).factbase == snap.factbase

@@ -297,3 +297,13 @@ class TestBand:
     def test_degenerate_band_rejected(self):
         with pytest.raises(SchemeError):
             Band("X", 2.0, 2.0)
+
+    def test_nan_in_no_band(self):
+        for band in (Band("X", 1.0, 2.0), Band("X", None, 5.0),
+                     Band("X", 5.0, None), Band("X", None, None)):
+            assert not band.contains(float("nan"))
+
+    def test_nan_value_matches_no_band(self):
+        fv = FeatureVector(window_start=0.0, window_end=60.0, swa_apen=float("nan"))
+        with pytest.raises(SchemeError, match="matched 0 bands"):
+            qualify(fv, default_scheme(), ANON)
