@@ -21,7 +21,6 @@ from .errors import (
     InsufficientDataError,
     MissingChannelError,
     MonotonicityError,
-    OrderingError,
     RangeError,
     RuleSyntaxError,
     ScenarioSpecError,
@@ -34,7 +33,6 @@ from .features import (
     ApEnParams,
     FeatureParams,
     FeatureVector,
-    ReactionTimes,
     approximate_entropy,
     count_upcrossings,
     extract_features,
@@ -45,7 +43,6 @@ from .features import (
     merge_features,
     mouth_features,
     physiology_features,
-    reaction_times,
     swa_features,
     yaw_features,
 )
@@ -57,8 +54,6 @@ from .kstore import (
     assert_fact,
     assert_value,
     default_taxonomy,
-    entails,
-    get_value,
     load_snapshot,
     query_class,
     save_snapshot,
@@ -107,7 +102,6 @@ from .scenario import (
 from .signals import (
     CHANNELS,
     DriverProfile,
-    ObstacleEvent,
     Sex,
     SignalFrame,
     Trace,
@@ -122,16 +116,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguityError", "ArgumentError", "DecodeError", "DuplicateRuleNameError",
     "EmptyInputError", "FatigueKitError", "InsufficientDataError",
-    "MissingChannelError", "MonotonicityError", "OrderingError", "RangeError",
+    "MissingChannelError", "MonotonicityError", "RangeError",
     "RuleSyntaxError", "ScenarioSpecError", "SchemeError", "UnboundFeatureError",
     "UnknownClassError",
     "FEATURE_NAMES", "ApEnParams", "FeatureParams", "FeatureVector",
-    "ReactionTimes", "approximate_entropy", "count_upcrossings",
+    "approximate_entropy", "count_upcrossings",
     "extract_features", "eye_features", "gaze_features", "head_features",
     "kinematics_features", "merge_features", "mouth_features",
-    "physiology_features", "reaction_times", "swa_features", "yaw_features",
+    "physiology_features", "swa_features", "yaw_features",
     "ENGINE_VERSION", "FactBase", "KnowledgeSnapshot", "Taxonomy",
-    "assert_fact", "assert_value", "default_taxonomy", "entails", "get_value",
+    "assert_fact", "assert_value", "default_taxonomy",
     "load_snapshot", "query_class", "save_snapshot",
     "AlertPolicy", "FatigueReport", "PipelineConfig", "WindowRecord",
     "decide", "default_config_text", "load_config", "run",
@@ -142,6 +136,6 @@ __all__ = [
     "read_fatigue",
     "REGIMES", "ScenarioSpec", "Segment", "generate_scenario",
     "parse_scenario_spec", "simple_spec",
-    "CHANNELS", "DriverProfile", "ObstacleEvent", "Sex", "SignalFrame",
+    "CHANNELS", "DriverProfile", "Sex", "SignalFrame",
     "Trace", "Window", "make_windows", "parse_trace", "serialize_trace",
 ]

@@ -56,10 +56,6 @@ class InsufficientDataError(FatigueKitError):
     """A channel is present but has too few samples for the computation."""
 
 
-class OrderingError(FatigueKitError):
-    """Event timestamps are out of order."""
-
-
 class SchemeError(FatigueKitError):
     """A qualification scheme is malformed (gap, overlap, bad bounds)."""
 

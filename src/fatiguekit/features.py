@@ -1,11 +1,12 @@
 """Windowed feature extraction for drive and driver signals.
 
-Each extractor pulls one channel family off a Window and returns a partial
-FeatureVector; extract_features gathers the family vectors, merges them with
-one merge_features call into a single FeatureVector, and is what the
-pipeline calls. Extractors are independent so a trace missing, say, the
-camera channels still yields the vehicular features. A value that overflows
-float64 on finite samples is left absent and noted, never reported.
+Each extractor takes a Window and one FeatureParams, pulls one channel
+family off the window and returns a partial FeatureVector; extract_features
+gathers the family vectors, merges them with one merge_features call into a
+single FeatureVector, and is what the pipeline calls. Extractors are
+independent so a trace missing, say, the camera channels still yields the
+vehicular features. A value that overflows float64 on finite samples is left
+absent and noted, never reported.
 
 Eyelid and mouth episodes come from the edges of a boolean mask in one
 numpy pass (_hold_runs); the head-pitch EWMA and the debounced steering
@@ -28,9 +29,14 @@ from .errors import (
     InsufficientDataError,
     MissingChannelError,
 )
-from .signals import ObstacleEvent, Window
+from .signals import Window
 
 _EPS = 1e-9
+
+# Closed-eye episodes lasting [_BLINK_MIN_S, _MICROSLEEP_MIN_S) are blinks,
+# longer ones micro-sleeps, seconds.
+_BLINK_MIN_S = 0.2
+_MICROSLEEP_MIN_S = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +59,28 @@ class ApEnParams:
             raise ArgumentError(f"apen r must be positive, got {self.r}")
         if self.r is None and not self.r_scale > 0:
             raise ArgumentError(f"apen r_scale must be positive, got {self.r_scale}")
+
+
+@dataclass(frozen=True, slots=True)
+class FeatureParams:
+    """Tunables shared by the extractors, pipeline-configurable."""
+
+    apen: ApEnParams = field(default_factory=ApEnParams)
+    correction_threshold_deg: float = 6.0
+    correction_hysteresis_deg: float = 0.5
+    half_lane_width_m: float = 1.75
+    eye_closed_threshold: float = 0.8
+    yawn_ratio: float = 0.6
+    yawn_min_dur_s: float = 3.0
+    head_alpha: float = 0.3
+    saccade_speed_dps: float = 30.0
+
+    def __post_init__(self):
+        if not 0 < self.head_alpha <= 1:
+            raise ArgumentError(f"alpha must lie in (0, 1], got {self.head_alpha}")
+
+
+_DEFAULT_PARAMS = FeatureParams()
 
 
 # Elements of one block of the near matrix (rows x series length): a
@@ -309,6 +337,7 @@ def count_upcrossings(values, threshold: float, hysteresis: float) -> int:
     threshold - hysteresis. A series that starts at or above threshold is
     already "up" and does not count until it re-arms.
     """
+    values = np.asarray(values).tolist()  # Python floats compare faster than numpy scalars
     count = 0
     below = values[0] < threshold
     rearm = threshold - hysteresis
@@ -322,20 +351,20 @@ def count_upcrossings(values, threshold: float, hysteresis: float) -> int:
     return count
 
 
-def swa_features(w: Window, apen: ApEnParams = ApEnParams(), *,
-                 correction_threshold: float = 6.0,
-                 correction_hysteresis: float = 0.5) -> FeatureVector:
+def swa_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
     """Steering-wheel angle features for one window.
 
-    A correction is an upward crossing of |swa| through the 6 degree
-    threshold (0.5 degree re-arm hysteresis). The frequency is normalised
-    to events per minute over the nominal window length. ApEn runs on the
+    A correction is an upward crossing of |swa| through
+    params.correction_threshold_deg, re-armed params.correction_hysteresis_deg
+    below it. The frequency is normalised to events per minute over the
+    nominal window length. ApEn runs on the
     resampled series; when the window is too short for the chosen embedding
     the swa_apen field is simply left absent.
     """
     t, v = _channel_or_raise(w, "swa", 2)
     abs_v = np.abs(v)
-    crossings = count_upcrossings(abs_v, correction_threshold, correction_hysteresis)
+    crossings = count_upcrossings(abs_v, params.correction_threshold_deg,
+                                  params.correction_hysteresis_deg)
     velocity = np.abs(np.diff(v) / np.diff(t))
     resampled, _ = _resample_series(t, v)
     return FeatureVector(
@@ -345,11 +374,11 @@ def swa_features(w: Window, apen: ApEnParams = ApEnParams(), *,
         max_swa_abs=float(np.max(abs_v)),
         swa_correction_freq=crossings * 60.0 / w.length,
         swa_angular_velocity_max=float(np.max(velocity)),
-        swa_apen=_resampled_apen(resampled, apen),
+        swa_apen=_resampled_apen(resampled, params.apen),
     )
 
 
-def yaw_features(w: Window, apen: ApEnParams = ApEnParams()) -> FeatureVector:
+def yaw_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
     """Yaw angle features: mean magnitude, population variance, ApEn and
     the largest second difference per squared step (a yaw-rate acceleration
     proxy), the latter two on the resampled series."""
@@ -361,12 +390,12 @@ def yaw_features(w: Window, apen: ApEnParams = ApEnParams()) -> FeatureVector:
         window_end=w.end_t,
         mean_yaw_abs=float(np.mean(np.abs(v))),
         var_yaw=float(np.var(v)),
-        yaw_apen=_resampled_apen(resampled, apen),
+        yaw_apen=_resampled_apen(resampled, params.apen),
         yaw_accel_max=float(np.max(accel)) if len(accel) else None,
     )
 
 
-def kinematics_features(w: Window, *, half_lane_width: float = 1.75) -> FeatureVector:
+def kinematics_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
     """Lateral acceleration range plus lane-keeping spread and crossings.
 
     The two source channels are independent: whichever is present on at
@@ -381,7 +410,7 @@ def kinematics_features(w: Window, *, half_lane_width: float = 1.75) -> FeatureV
     if len(lane) >= 2:
         out["lane_std"] = float(np.std(lane))
         # crossing = |offset| reaching the lane line from inside
-        g = np.abs(lane) - half_lane_width
+        g = np.abs(lane) - params.half_lane_width_m
         out["lane_crossings"] = int(np.sum((g[:-1] < 0) & (g[1:] >= 0)))
     if not out:
         raise MissingChannelError("lat_accel/lane_offset")
@@ -413,35 +442,35 @@ def closed_fraction(t: np.ndarray, v: np.ndarray, closed_threshold: float) -> fl
     return float(np.sum(np.diff(t)[closed])) / float(t[-1] - t[0])
 
 
-def eye_features(w: Window, *, closed_threshold: float = 0.8,
-                 blink_min_s: float = 0.2, microsleep_min_s: float = 0.5) -> FeatureVector:
+def eye_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
     """Eyelid features from the closure channel.
 
     perclos80 is the time-weighted fraction of the observed span with
-    closure at or above the threshold (each sample holds until the next
-    one). Closed episodes lasting [blink_min_s, microsleep_min_s) are
-    blinks; anything at or past microsleep_min_s is a micro-sleep.
+    closure at or above params.eye_closed_threshold (each sample holds
+    until the next one). Closed episodes lasting [_BLINK_MIN_S,
+    _MICROSLEEP_MIN_S) are blinks; anything at or past _MICROSLEEP_MIN_S is
+    a micro-sleep.
     """
     t, v = _channel_or_raise(w, "eye_closure", 2)
-    durations = _hold_runs(t, v >= closed_threshold)
-    blinks = durations[(durations >= blink_min_s - _EPS)
-                       & (durations < microsleep_min_s - _EPS)]
+    durations = _hold_runs(t, v >= params.eye_closed_threshold)
+    blinks = durations[(durations >= _BLINK_MIN_S - _EPS)
+                       & (durations < _MICROSLEEP_MIN_S - _EPS)]
     return FeatureVector(
         window_start=w.start_t,
         window_end=w.end_t,
-        perclos80=closed_fraction(t, v, closed_threshold),
+        perclos80=closed_fraction(t, v, params.eye_closed_threshold),
         blink_freq=len(blinks) * 60.0 / w.length,
         blink_dur_mean=float(np.mean(blinks)) if len(blinks) else None,
-        microsleep_count=int(np.count_nonzero(durations >= microsleep_min_s - _EPS)),
+        microsleep_count=int(np.count_nonzero(durations >= _MICROSLEEP_MIN_S - _EPS)),
     )
 
 
-def mouth_features(w: Window, *, yawn_ratio: float = 0.6,
-                   yawn_min_dur: float = 3.0) -> FeatureVector:
-    """Yawn detection: mouth_open at or above yawn_ratio held for at least
-    yawn_min_dur seconds counts one yawn."""
+def mouth_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+    """Yawn detection: mouth_open at or above params.yawn_ratio held for at
+    least params.yawn_min_dur_s seconds counts one yawn."""
     t, v = _channel_or_raise(w, "mouth_open", 1)
-    yawns = int(np.count_nonzero(_hold_runs(t, v >= yawn_ratio) >= yawn_min_dur - _EPS))
+    durations = _hold_runs(t, v >= params.yawn_ratio)
+    yawns = int(np.count_nonzero(durations >= params.yawn_min_dur_s - _EPS))
     return FeatureVector(
         window_start=w.start_t,
         window_end=w.end_t,
@@ -450,7 +479,7 @@ def mouth_features(w: Window, *, yawn_ratio: float = 0.6,
     )
 
 
-def head_features(w: Window, alpha: float = 0.3) -> FeatureVector:
+def head_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
     """Exponentially weighted mean and variance of head pitch.
 
     Seeded with the first sample (variance 0) and stepped once per further
@@ -459,11 +488,10 @@ def head_features(w: Window, alpha: float = 0.3) -> FeatureVector:
         ewma_k  = alpha * x_k + (1 - alpha) * ewma_{k-1}
         ewvar_k = (1 - alpha) * (ewvar_{k-1} + alpha * (x_k - ewma_{k-1})^2)
 
-    The final values are reported.
+    with alpha = params.head_alpha. The final values are reported.
     """
-    if not 0 < alpha <= 1:
-        raise ArgumentError(f"alpha must lie in (0, 1], got {alpha}")
     t, v = _channel_or_raise(w, "head_pitch", 1)
+    alpha = params.head_alpha
     beta = 1 - alpha
     ewma = float(v[0])
     ewvar = 0.0
@@ -476,78 +504,24 @@ def head_features(w: Window, alpha: float = 0.3) -> FeatureVector:
         head_ewma=ewma, head_ewvar=ewvar)
 
 
-def physiology_features(w: Window) -> FeatureVector:
+def physiology_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
     t, v = _channel_or_raise(w, "heart_bpm", 1)
     return FeatureVector(
         window_start=w.start_t, window_end=w.end_t,
         mean_bpm=float(np.mean(v)))
 
 
-def gaze_features(w: Window, *, saccade_speed: float = 30.0) -> FeatureVector:
-    """Fraction of gaze transitions faster than the saccade speed threshold
+def gaze_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+    """Fraction of gaze transitions faster than params.saccade_speed_dps
     (degrees per second)."""
     t, v = _channel_or_raise(w, "gaze_offset", 2)
     speed = np.abs(np.diff(v) / np.diff(t))
     return FeatureVector(
         window_start=w.start_t, window_end=w.end_t,
-        gaze_persac=float(np.mean(speed > saccade_speed)))
+        gaze_persac=float(np.mean(speed > params.saccade_speed_dps)))
 
 
-@dataclass(frozen=True, slots=True)
-class ReactionTimes:
-    """Successive stage durations of one obstacle response, seconds.
-
-    visual:   obstacle visible -> physical reaction begins
-    physical: physical reaction -> movement begins
-    movement: movement -> vehicle responds
-    vehicle_response: full span, obstacle visible -> vehicle responds
-    """
-
-    visual: float
-    physical: float
-    movement: float
-    vehicle_response: float
-
-
-def reaction_times(e: ObstacleEvent) -> ReactionTimes:
-    return ReactionTimes(
-        visual=e.t_physical_reaction - e.t_visible,
-        physical=e.t_movement - e.t_physical_reaction,
-        movement=e.t_vehicle_response - e.t_movement,
-        vehicle_response=e.t_vehicle_response - e.t_visible,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureParams:
-    """Tunables shared by the extractors, pipeline-configurable."""
-
-    apen: ApEnParams = field(default_factory=ApEnParams)
-    correction_threshold_deg: float = 6.0
-    correction_hysteresis_deg: float = 0.5
-    half_lane_width_m: float = 1.75
-    eye_closed_threshold: float = 0.8
-    yawn_ratio: float = 0.6
-    yawn_min_dur_s: float = 3.0
-    head_alpha: float = 0.3
-    saccade_speed_dps: float = 30.0
-
-
-_EXTRACTORS = (
-    lambda w, p: swa_features(w, p.apen,
-                              correction_threshold=p.correction_threshold_deg,
-                              correction_hysteresis=p.correction_hysteresis_deg),
-    lambda w, p: yaw_features(w, p.apen),
-    lambda w, p: kinematics_features(w, half_lane_width=p.half_lane_width_m),
-    lambda w, p: eye_features(w, closed_threshold=p.eye_closed_threshold),
-    lambda w, p: mouth_features(w, yawn_ratio=p.yawn_ratio, yawn_min_dur=p.yawn_min_dur_s),
-    lambda w, p: head_features(w, p.head_alpha),
-    lambda w, p: physiology_features(w),
-    lambda w, p: gaze_features(w, saccade_speed=p.saccade_speed_dps),
-)
-
-
-def extract_features(w: Window, params: FeatureParams = FeatureParams()
+def extract_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS
                      ) -> tuple[FeatureVector, list[str]]:
     """Run every extractor the window can feed.
 
@@ -560,7 +534,10 @@ def extract_features(w: Window, params: FeatureParams = FeatureParams()
     parts = [FeatureVector(window_start=w.start_t, window_end=w.end_t)]
     notes: list[str] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for extract in _EXTRACTORS:
+        # the families are looked up by name at each call, so a wrapper
+        # assigned to features.<family>_features takes effect here
+        for extract in (swa_features, yaw_features, kinematics_features, eye_features,
+                        mouth_features, head_features, physiology_features, gaze_features):
             try:
                 parts.append(extract(w, params))
             except (MissingChannelError, InsufficientDataError) as e:

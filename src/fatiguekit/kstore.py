@@ -27,8 +27,8 @@ class Taxonomy:
 
     A taxonomy never changes after construction (do not mutate `parents`),
     so each instance computes its subclass closures and its snapshot text
-    once and keeps them. `with_classes`, `load_snapshot` and
-    `default_taxonomy` build new instances, which start with empty caches.
+    once and keeps them. `load_snapshot` and `default_taxonomy` build new
+    instances, which start with empty caches.
     """
 
     classes: frozenset[str]
@@ -115,18 +115,6 @@ class Taxonomy:
             "subclass_of": {c: sorted(ps) for c, ps in sorted(self.parents.items()) if ps},
         })
 
-    def with_classes(self, additions: dict[str, tuple[str, ...]]) -> "Taxonomy":
-        """A new taxonomy with extra classes (and their parent edges)."""
-        classes = set(self.classes)
-        parents = dict(self.parents)
-        for cls, ps in additions.items():
-            classes.add(cls)
-            classes.update(ps)
-            if ps:
-                merged = tuple(dict.fromkeys(parents.get(cls, ()) + tuple(ps)))
-                parents[cls] = merged
-        return Taxonomy(classes=frozenset(classes), parents=parents)
-
 
 @dataclass(frozen=True)
 class FactBase:
@@ -151,7 +139,7 @@ class FactBase:
         return frozenset(inds)
 
     def classes_of(self, individual: str) -> frozenset[str]:
-        """Asserted classes only; use entails for the closed reading."""
+        """Asserted classes only; use query_class for the closed reading."""
         return frozenset(c for i, c in self.memberships if i == individual)
 
 
@@ -171,23 +159,6 @@ def assert_value(fb: FactBase, individual: str, prop: str, value: float) -> Fact
     triples = {t for t in fb.data_properties if (t[0], t[1]) != (individual, prop)}
     triples.add((individual, prop, value))
     return replace(fb, data_properties=frozenset(triples))
-
-
-def get_value(fb: FactBase, individual: str, prop: str) -> float | None:
-    for i, p, v in fb.data_properties:
-        if i == individual and p == prop:
-            return v
-    return None
-
-
-def entails(fb: FactBase, individual: str, cls: str) -> bool:
-    """True when the individual is asserted in cls or any subclass of it."""
-    if cls not in fb.taxonomy.classes:
-        raise UnknownClassError(cls)
-    for i, c in fb.memberships:
-        if i == individual and cls in fb.taxonomy.ancestors(c):
-            return True
-    return False
 
 
 def query_class(fb: FactBase, cls: str) -> frozenset[str]:

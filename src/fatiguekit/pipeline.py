@@ -13,9 +13,10 @@ report bytes and the same snapshot bytes.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -66,19 +67,21 @@ class AlertPolicy:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    window_length_s: float = 60.0
-    window_stride_s: float = 10.0
-    perclos_window_s: float = 180.0
-    scheme: QualificationScheme = field(default_factory=load_scheme)
-    rule_pack: RulePack = field(default_factory=load_stock_pack)
-    weights: FusionWeights = field(default_factory=FusionWeights)
-    fusion_cutoffs: tuple[float, float] = (0.5, 1.5)
-    alert: AlertPolicy = field(default_factory=AlertPolicy)
-    snapshot_dir: str | None = None
-    snapshot_every_windows: int = 10
-    profile: DriverProfile = field(default_factory=lambda: DriverProfile(id="driver"))
-    feature_params: FeatureParams = field(default_factory=FeatureParams)
-    trace_id: str = "trace"
+    """Everything a run needs; load_config fills it from default_config.json."""
+
+    window_length_s: float
+    window_stride_s: float
+    perclos_window_s: float
+    scheme: QualificationScheme
+    rule_pack: RulePack
+    weights: FusionWeights
+    fusion_cutoffs: tuple[float, float]
+    alert: AlertPolicy
+    snapshot_dir: str | None
+    snapshot_every_windows: int
+    profile: DriverProfile
+    feature_params: FeatureParams
+    trace_id: str
 
     def __post_init__(self):
         if self.window_length_s <= 0 or self.window_stride_s <= 0:
@@ -94,6 +97,30 @@ def default_config_text() -> str:
         "data/default_config.json").read_text("utf-8")
 
 
+def _of_type(value, kind, key: str, what: str):
+    """value if it is a kind and not a bool, else DecodeError naming key."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DecodeError(f"config {key} must be {what}, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number as a float."""
+    value = _of_type(value, (int, float), key, "a number")
+    # false for nan, infinities and integers past float64's range alike
+    if not abs(value) <= sys.float_info.max:
+        raise DecodeError(f"config {key} must be finite and within float64 range, got {value!r}")
+    return float(value)
+
+
+def _count(value, key: str) -> int:
+    """A JSON number with an integral value as an int."""
+    value = _number(value, key)
+    if not value.is_integer():
+        raise DecodeError(f"config {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(data: bytes | str | None = None, *,
                 base_dir: Path | None = None,
                 rule_pack_override: str | None = None,
@@ -102,7 +129,8 @@ def load_config(data: bytes | str | None = None, *,
     """Build a PipelineConfig from JSON, falling back to shipped defaults.
 
     Keys the config omits keep their default values. `scheme_path` and a
-    path-valued `rule_pack` are resolved relative to base_dir.
+    path-valued `rule_pack` are resolved relative to base_dir. A value of
+    the wrong type or shape raises DecodeError naming its key.
     """
     defaults = json.loads(default_config_text())
     if data is None:
@@ -124,26 +152,22 @@ def load_config(data: bytes | str | None = None, *,
             raise DecodeError(f"unknown config keys: {sorted(unknown)}")
         obj = {**defaults, **override}
         if "features" in override:
-            obj["features"] = {**defaults["features"], **override["features"]}
+            obj["features"] = {**defaults["features"],
+                               **_of_type(override["features"], dict, "features", "an object")}
 
-    feat = obj["features"]
+    feat = dict(obj["features"])
     extra_feat = set(feat) - set(defaults["features"])
     if extra_feat:
         raise DecodeError(f"unknown feature config keys: {sorted(extra_feat)}")
-    params = FeatureParams(
-        apen=ApEnParams(m=int(feat["apen_m"]), r=feat["apen_r"],
-                        r_scale=float(feat["apen_r_scale"])),
-        correction_threshold_deg=float(feat["correction_threshold_deg"]),
-        correction_hysteresis_deg=float(feat["correction_hysteresis_deg"]),
-        half_lane_width_m=float(feat["half_lane_width_m"]),
-        eye_closed_threshold=float(feat["eye_closed_threshold"]),
-        yawn_ratio=float(feat["yawn_ratio"]),
-        yawn_min_dur_s=float(feat["yawn_min_dur_s"]),
-        head_alpha=float(feat["head_alpha"]),
-        saccade_speed_dps=float(feat["saccade_speed_dps"]),
-    )
+    # every key but the three apen_* ones names a FeatureParams field
+    apen_r = feat.pop("apen_r")
+    apen = ApEnParams(m=_count(feat.pop("apen_m"), "features.apen_m"),
+                      r=None if apen_r is None else _number(apen_r, "features.apen_r"),
+                      r_scale=_number(feat.pop("apen_r_scale"), "features.apen_r_scale"))
+    params = FeatureParams(apen=apen, **{k: _number(v, f"features.{k}") for k, v in feat.items()})
 
-    scheme_path = obj["scheme_path"]
+    scheme_path = _of_type(obj["scheme_path"], (str, type(None)), "scheme_path",
+                           "a path or null")
     if scheme_path is None:
         scheme = load_scheme()
     else:
@@ -152,7 +176,8 @@ def load_config(data: bytes | str | None = None, *,
             p = base_dir / p
         scheme = load_scheme(p.read_bytes())
 
-    pack_name = rule_pack_override or obj["rule_pack"]
+    pack_name = rule_pack_override or _of_type(obj["rule_pack"], str, "rule_pack",
+                                               "a pack name or path")
     if pack_name in ("corrected", "verbatim"):
         pack = load_stock_pack(pack_name)
     else:
@@ -161,26 +186,34 @@ def load_config(data: bytes | str | None = None, *,
             p = base_dir / p
         pack = parse_rules(p.read_bytes(), default_taxonomy(scheme))
 
-    profile_obj = obj["profile"]
+    profile_obj = _of_type(obj["profile"], dict, "profile", "an object")
     profile = DriverProfile(id=str(profile_obj.get("id") or "driver"),
                             sex=profile_obj.get("sex") or "unspecified")
 
     snapshot_dir = snapshot_dir_override if snapshot_dir_override is not None \
-        else obj["snapshot_dir"]
+        else _of_type(obj["snapshot_dir"], (str, type(None)), "snapshot_dir", "a path or null")
+
+    weights = _of_type(obj["fusion_weights"], dict, "fusion_weights", "an object")
+    cutoffs = obj["fusion_cutoffs"]
+    if not (isinstance(cutoffs, list) and len(cutoffs) == 2):
+        raise DecodeError(f"config fusion_cutoffs must be two numbers, got {cutoffs!r}")
 
     return PipelineConfig(
-        window_length_s=float(obj["window_length_s"]),
-        window_stride_s=float(obj["window_stride_s"]),
-        perclos_window_s=float(obj["perclos_window_s"]),
+        window_length_s=_number(obj["window_length_s"], "window_length_s"),
+        window_stride_s=_number(obj["window_stride_s"], "window_stride_s"),
+        perclos_window_s=_number(obj["perclos_window_s"], "perclos_window_s"),
         scheme=scheme,
         rule_pack=pack,
-        weights=FusionWeights(weights={str(k): float(v)
-                                       for k, v in obj["fusion_weights"].items()}),
-        fusion_cutoffs=(float(obj["fusion_cutoffs"][0]), float(obj["fusion_cutoffs"][1])),
-        alert=AlertPolicy(level=FatigueLevel.from_name(obj["alert_level"]),
-                          consecutive=int(obj["alert_consecutive_windows"])),
+        weights=FusionWeights(weights={k: _number(v, f"fusion_weights.{k}")
+                                       for k, v in weights.items()}),
+        fusion_cutoffs=(_number(cutoffs[0], "fusion_cutoffs"),
+                        _number(cutoffs[1], "fusion_cutoffs")),
+        alert=AlertPolicy(
+            level=FatigueLevel.from_name(
+                _of_type(obj["alert_level"], str, "alert_level", "a level name")),
+            consecutive=_count(obj["alert_consecutive_windows"], "alert_consecutive_windows")),
         snapshot_dir=snapshot_dir,
-        snapshot_every_windows=int(obj["snapshot_every_windows"]),
+        snapshot_every_windows=_count(obj["snapshot_every_windows"], "snapshot_every_windows"),
         profile=profile,
         feature_params=params,
         trace_id=trace_id,
@@ -221,9 +254,6 @@ class FatigueReport:
         lines = [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
                  for r in self.records]
         return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-
-    def overall_levels(self) -> list[FatigueLevel | None]:
-        return [r.overall for r in self.records]
 
     def alert_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.records) if r.alert]

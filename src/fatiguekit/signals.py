@@ -34,7 +34,6 @@ from .errors import (
     ArgumentError,
     DecodeError,
     MonotonicityError,
-    OrderingError,
     RangeError,
 )
 
@@ -253,26 +252,11 @@ class DriverProfile:
     def __post_init__(self):
         if not self.id:
             raise ArgumentError("driver id must be non-empty")
-        if not isinstance(self.sex, Sex):
+        try:
             object.__setattr__(self, "sex", Sex(self.sex))
-
-
-@dataclass(frozen=True, slots=True)
-class ObstacleEvent:
-    """Timestamps of one obstacle-response episode, seconds, in event order."""
-
-    t_visible: float
-    t_physical_reaction: float
-    t_movement: float
-    t_vehicle_response: float
-
-    def __post_init__(self):
-        ts = (self.t_visible, self.t_physical_reaction,
-              self.t_movement, self.t_vehicle_response)
-        if any(not math.isfinite(t) for t in ts):
-            raise ArgumentError("obstacle timestamps must be finite")
-        if not (ts[0] <= ts[1] <= ts[2] <= ts[3]):
-            raise OrderingError(f"obstacle timestamps out of order: {ts}")
+        except ValueError:
+            raise ArgumentError(
+                f"unknown sex {self.sex!r}: use male, female or unspecified") from None
 
 
 # Rows whose cells are converted to float64 together.

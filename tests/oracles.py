@@ -118,6 +118,22 @@ def upcross_oracle(values, threshold: float, hysteresis: float) -> int:
     return count
 
 
+def upcrossings_loop(values, threshold: float, hysteresis: float) -> int:
+    """`count_upcrossings` stepped over the array's own numpy scalars; the
+    package's former loop, which now iterates Python floats."""
+    count = 0
+    below = values[0] < threshold
+    rearm = threshold - hysteresis
+    for x in values[1:]:
+        if below:
+            if x >= threshold:
+                count += 1
+                below = False
+        elif x < rearm:
+            below = True
+    return count
+
+
 def windows_oracle(times, length: float, stride: float) -> list[tuple]:
     """(start, end, frame times) of every window holding two or more frames.
 

@@ -109,6 +109,26 @@ class TestRun:
         assert main(["run", str(drowsy_trace), "--config", str(cfg)]) == 1
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"profile": {"id": "d", "sex": "robot"}}',
+        '{"features": {"apen_m": "x"}}',
+        '{"fusion_weights": [1, 2]}',
+        '{"window_length_s": "abc"}',
+        '{"fusion_cutoffs": [0.5]}',
+        '{"alert_level": 3}',
+        '{"profile": "x"}',
+        '{"features": [1]}',
+        '{"snapshot_every_windows": 2.7}',
+        '{"window_length_s": NaN}',
+        pytest.param('{"alert_consecutive_windows": 1' + '0' * 400 + '}',
+                     id="integer-past-float64"),
+    ])
+    def test_malformed_config_value(self, tmp_path, drowsy_trace, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["run", str(drowsy_trace), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGen:
     def test_gen_then_run(self, tmp_path, capsys):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from fatiguekit import (
     ApEnParams,
     ArgumentError,
+    FeatureParams,
     FeatureVector,
     InsufficientDataError,
     MissingChannelError,
-    ObstacleEvent,
     SignalFrame,
     Window,
     count_upcrossings,
@@ -24,12 +24,11 @@ from fatiguekit import (
     merge_features,
     mouth_features,
     physiology_features,
-    reaction_times,
     swa_features,
     yaw_features,
 )
 from fatiguekit.features import _EPS, FEATURE_NAMES, _hold_runs
-from oracles import hold_runs_loop, merge_features_fold, upcross_oracle
+from oracles import hold_runs_loop, merge_features_fold, upcross_oracle, upcrossings_loop
 
 
 def window_of(values_by_channel: dict, dt: float = 1.0, t0: float = 0.0,
@@ -88,7 +87,7 @@ class TestSwaFeatures:
 
     def test_apen_absent_when_window_tiny(self):
         w = window_of({"swa": [0.0, 1.0]}, dt=1.0)
-        fv = swa_features(w, ApEnParams(m=2, r=0.5))
+        fv = swa_features(w, FeatureParams(apen=ApEnParams(m=2, r=0.5)))
         assert fv.swa_apen is None
         assert fv.mean_swa_abs == 0.5
 
@@ -137,13 +136,13 @@ class TestKinematics:
         for _ in range(4):
             lane += [0.0, 2.0, 0.0, -2.0]
         w = window_of({"lane_offset": lane}, dt=1.0)
-        fv = kinematics_features(w, half_lane_width=1.75)
+        fv = kinematics_features(w, FeatureParams(half_lane_width_m=1.75))
         assert fv.lane_crossings == 8  # each swing exits on both sides
 
     def test_exactly_four_one_sided(self):
         lane = [0.0, 2.0] * 4
         w = window_of({"lane_offset": lane}, dt=1.0)
-        fv = kinematics_features(w, half_lane_width=1.75)
+        fv = kinematics_features(w, FeatureParams(half_lane_width_m=1.75))
         assert fv.lane_crossings == 4
 
     def test_partial_availability(self):
@@ -263,7 +262,7 @@ class TestHoldRuns:
         t, mask = case
         v = np.where(mask, 0.9, 0.1)
         w = window_at(t, "eye_closure", v)
-        fv = eye_features(w, closed_threshold=0.8)
+        fv = eye_features(w, FeatureParams(eye_closed_threshold=0.8))
         blinks, mean_dur, sleeps = eye_oracle(t, v)
         assert fv.blink_freq == blinks * 60.0 / w.length
         assert fv.blink_dur_mean == mean_dur
@@ -316,28 +315,27 @@ class TestMouthFeatures:
 class TestHeadFeatures:
     def test_constant(self):
         w = window_of({"head_pitch": [5.0] * 9}, dt=1.0)
-        fv = head_features(w, alpha=0.3)
+        fv = head_features(w, FeatureParams(head_alpha=0.3))
         assert fv.head_ewma == 5.0
         assert fv.head_ewvar == 0.0
 
     def test_alpha_one_tracks_last_sample(self):
         w = window_of({"head_pitch": [1.0, 7.0, -2.0]}, dt=1.0)
-        fv = head_features(w, alpha=1.0)
+        fv = head_features(w, FeatureParams(head_alpha=1.0))
         assert fv.head_ewma == -2.0
         assert fv.head_ewvar == 0.0
 
     def test_hand_recursion(self):
         w = window_of({"head_pitch": [0.0, 10.0]}, dt=1.0)
-        fv = head_features(w, alpha=0.5)
+        fv = head_features(w, FeatureParams(head_alpha=0.5))
         assert fv.head_ewma == 5.0
         assert fv.head_ewvar == 25.0
 
     def test_alpha_validated(self):
-        w = window_of({"head_pitch": [0.0, 1.0]}, dt=1.0)
+        with pytest.raises(ArgumentError, match=r"alpha must lie in \(0, 1\], got 0.0"):
+            FeatureParams(head_alpha=0.0)
         with pytest.raises(ArgumentError):
-            head_features(w, alpha=0.0)
-        with pytest.raises(ArgumentError):
-            head_features(w, alpha=1.5)
+            FeatureParams(head_alpha=1.5)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=-90, max_value=90, allow_nan=False),
@@ -345,7 +343,7 @@ class TestHeadFeatures:
            st.floats(min_value=0.05, max_value=1.0, allow_nan=False))
     def test_ewvar_never_negative(self, pitches, alpha):
         w = window_of({"head_pitch": pitches}, dt=1.0)
-        fv = head_features(w, alpha=alpha)
+        fv = head_features(w, FeatureParams(head_alpha=alpha))
         assert fv.head_ewvar >= 0.0
 
     @pytest.mark.parametrize("alpha", [1.0, 0.3, 0.05])
@@ -355,7 +353,7 @@ class TestHeadFeatures:
         rng = np.random.default_rng(n)
         for scale in (1e-3, 1.0, 90.0, 1e12):
             w = window_of({"head_pitch": rng.normal(0.0, scale, n)}, dt=0.1)
-            fv = head_features(w, alpha=alpha)
+            fv = head_features(w, FeatureParams(head_alpha=alpha))
             assert (fv.head_ewma, fv.head_ewvar) \
                 == head_ewma_loop(w.channel("head_pitch")[1], alpha)
 
@@ -379,26 +377,12 @@ class TestGaze:
     def test_persac_fraction(self):
         # speeds 1, 49, 1 deg/s across the three transitions
         w = window_of({"gaze_offset": [0.0, 0.1, 5.0, 5.1]}, dt=0.1)
-        fv = gaze_features(w, saccade_speed=30.0)
+        fv = gaze_features(w, FeatureParams(saccade_speed_dps=30.0))
         assert abs(fv.gaze_persac - 1 / 3) < 1e-12
 
     def test_still_gaze(self):
         w = window_of({"gaze_offset": [2.0] * 6}, dt=0.5)
         assert gaze_features(w).gaze_persac == 0.0
-
-
-class TestReactionTimes:
-    def test_worked_example(self):
-        rt = reaction_times(ObstacleEvent(0.0, 0.4, 0.9, 1.5))
-        assert abs(rt.visual - 0.4) < 1e-12
-        assert abs(rt.physical - 0.5) < 1e-12
-        assert abs(rt.movement - 0.6) < 1e-12
-        assert abs(rt.vehicle_response - 1.5) < 1e-12
-
-    def test_all_equal(self):
-        rt = reaction_times(ObstacleEvent(2.0, 2.0, 2.0, 2.0))
-        assert (rt.visual, rt.physical, rt.movement, rt.vehicle_response) \
-            == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestUpcrossings:
@@ -409,6 +393,14 @@ class TestUpcrossings:
         got = count_upcrossings(np.abs(np.array(xs)), 6.0, 0.5)
         want = upcross_oracle([abs(x) for x in xs], 6.0, 0.5)
         assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True), min_size=1, max_size=80),
+           st.floats(min_value=-10, max_value=10), st.floats(min_value=0, max_value=5))
+    def test_equals_numpy_scalar_loop(self, xs, threshold, hysteresis):
+        values = np.array(xs)
+        assert count_upcrossings(values, threshold, hysteresis) \
+            == upcrossings_loop(values, threshold, hysteresis)
 
 
 class TestMergeAndExtract:

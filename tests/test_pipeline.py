@@ -18,6 +18,7 @@ from fatiguekit import (
     ArgumentError,
     DecodeError,
     FatigueLevel,
+    FeatureParams,
     PipelineConfig,
     Trace,
     decide,
@@ -93,6 +94,14 @@ class TestLoadConfig:
         assert pack_flavor(cfg.rule_pack) == "corrected"
         assert cfg.profile.id == "driver"
         assert cfg.profile.sex.value == "unspecified"
+
+    def test_feature_defaults_have_one_home(self):
+        # the shipped features block and the FeatureParams defaults agree,
+        # and each features key other than apen_* names a FeatureParams field
+        assert load_config().feature_params == FeatureParams()
+        keys = set(json.loads(default_config_text())["features"])
+        names = {f.name for f in dataclasses.fields(FeatureParams)} - {"apen"}
+        assert keys == names | {"apen_m", "apen_r", "apen_r_scale"}
 
     def test_default_text_parses(self):
         raw = json.loads(default_config_text())
@@ -220,14 +229,14 @@ class TestRunEndToEnd:
 
     def test_alert_scenario_stays_low(self):
         report = run_scenario("alert")
-        overall = report.overall_levels()
+        overall = [r.overall for r in report.records]
         present = [lv for lv in overall if lv is not None]
         assert present and all(lv is LOW for lv in present)
         assert report.alert_indices() == []
 
     def test_drowsy_scenario_goes_high_and_alerts(self):
         report = run_scenario("drowsy")
-        overall = report.overall_levels()
+        overall = [r.overall for r in report.records]
         present = [lv for lv in overall if lv is not None]
         highs = sum(1 for lv in present if lv is HIGH)
         assert highs / len(present) >= 0.8
@@ -236,7 +245,7 @@ class TestRunEndToEnd:
     def test_alert_flags_match_decide(self):
         report = run_scenario("drowsy", duration=300.0)
         flagged = [i for i, r in enumerate(report.records) if r.alert]
-        assert flagged == decide(report.overall_levels(), AlertPolicy())
+        assert flagged == decide([r.overall for r in report.records], AlertPolicy())
 
     def test_determinism(self):
         a = run_scenario("drowsy", duration=240.0, seed=5).to_jsonl()
@@ -362,7 +371,7 @@ class TestClosurePass:
         out = []
         for w in make_windows(trace, cfg.perclos_window_s, cfg.window_stride_s):
             try:
-                fv = eye_features(w, closed_threshold=cfg.feature_params.eye_closed_threshold)
+                fv = eye_features(w, cfg.feature_params)
             except Exception:
                 continue
             out.append((w.end_t, fv.perclos80))

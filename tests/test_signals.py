@@ -15,8 +15,6 @@ from fatiguekit import (
     DecodeError,
     DriverProfile,
     MonotonicityError,
-    ObstacleEvent,
-    OrderingError,
     RangeError,
     Sex,
     SignalFrame,
@@ -265,10 +263,9 @@ class TestProfileAndEvents:
         with pytest.raises(ArgumentError):
             DriverProfile(id="")
 
-    def test_obstacle_event_ordering(self):
-        ObstacleEvent(0.0, 0.4, 0.9, 1.5)
-        with pytest.raises(OrderingError):
-            ObstacleEvent(0.0, 0.9, 0.4, 1.5)
+    def test_profile_rejects_unknown_sex(self):
+        with pytest.raises(ArgumentError, match="unknown sex 'robot'"):
+            DriverProfile(id="d", sex="robot")
 
 
 def test_serialize_csv_only_used_columns():
