@@ -17,7 +17,7 @@ class ArgumentError(FatigueKitError):
 
 
 class DecodeError(FatigueKitError):
-    """Input bytes are not a well-formed trace, snapshot or config."""
+    """Input is not a well-formed trace, snapshot, config, scheme, spec or rule pack."""
 
     def __init__(self, msg: str, *, row: int | None = None):
         self.row = row

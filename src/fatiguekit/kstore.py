@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from . import _inputs
 from .errors import ArgumentError, DecodeError, UnknownClassError
 
 ENGINE_VERSION = "0.1.0"
@@ -251,20 +252,11 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
     Raises DecodeError with a line number for malformed JSON and a key path
     for schema violations.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DecodeError(f"snapshot not valid UTF-8: {e.reason}") from None
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise DecodeError(f"snapshot not valid JSON: {e.msg}", row=e.lineno) from None
-    if not isinstance(obj, dict):
-        raise DecodeError("snapshot must be a JSON object")
-
+    obj = _inputs.json_object(data, "snapshot")
     tax_obj = _expect(obj, "taxonomy", dict, "")
     classes = _expect(tax_obj, "classes", list, "taxonomy.")
+    if not all(isinstance(c, str) for c in classes):
+        raise DecodeError("snapshot taxonomy.classes must list class names")
     sub = _expect(tax_obj, "subclass_of", dict, "taxonomy.")
     parents = {}
     for child, ps in sub.items():
@@ -285,10 +277,11 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
     data_properties = set()
     for entry in _expect(obj, "data_properties", list, ""):
         if not (isinstance(entry, list) and len(entry) == 3
-                and isinstance(entry[0], str) and isinstance(entry[1], str)
-                and isinstance(entry[2], (int, float)) and not isinstance(entry[2], bool)):
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise DecodeError(
                 f"snapshot data property {entry!r} must be [individual, property, number]")
+        # checked finite, but an integer value stays an integer
+        _inputs.number(entry[2], f"snapshot data property {entry[:2]!r} value")
         data_properties.add((entry[0], entry[1], entry[2]))
 
     meta = _expect(obj, "meta", dict, "")
@@ -296,7 +289,7 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2):
             raise DecodeError("snapshot meta.window must be [start, end] or null")
-        window = (float(window[0]), float(window[1]))
+        window = tuple(_inputs.number(t, "snapshot meta.window") for t in window)
     known_meta = {"engine_version", "timestamp", "trace_id", "window"}
     extra = {k: v for k, v in meta.items() if k not in known_meta}
 
@@ -305,15 +298,17 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
             taxonomy=taxonomy,
             memberships=frozenset(memberships),
             data_properties=frozenset(data_properties),
-            timestamp=float(meta.get("timestamp", 0.0)),
+            timestamp=_inputs.number(meta.get("timestamp", 0.0), "snapshot meta.timestamp"),
         )
     except UnknownClassError as e:
         raise DecodeError(f"snapshot membership invalid: {e}") from None
     return KnowledgeSnapshot(
         factbase=fb,
-        trace_id=str(meta.get("trace_id", "trace")),
+        trace_id=_inputs.of_type(meta.get("trace_id", "trace"), str, "snapshot meta.trace_id",
+                                 "a string"),
         window=window,
-        engine_version=str(meta.get("engine_version", ENGINE_VERSION)),
+        engine_version=_inputs.of_type(meta.get("engine_version", ENGINE_VERSION), str,
+                                       "snapshot meta.engine_version", "a string"),
         meta_extra=extra,
     )
 

@@ -13,13 +13,13 @@ report bytes and the same snapshot bytes.
 from __future__ import annotations
 
 import json
-import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+from . import _inputs
 from .errors import ArgumentError, DecodeError, EmptyInputError
 from .features import (
     ApEnParams,
@@ -56,8 +56,8 @@ ANCHOR_CLASSES = {
 class AlertPolicy:
     """Raise an alert after `consecutive` overall levels at or above `level`."""
 
-    level: FatigueLevel = FatigueLevel.HIGH
-    consecutive: int = 2
+    level: FatigueLevel
+    consecutive: int
 
     def __post_init__(self):
         if self.consecutive < 1:
@@ -97,30 +97,6 @@ def default_config_text() -> str:
         "data/default_config.json").read_text("utf-8")
 
 
-def _of_type(value, kind, key: str, what: str):
-    """value if it is a kind and not a bool, else DecodeError naming key."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DecodeError(f"config {key} must be {what}, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    """A finite JSON number as a float."""
-    value = _of_type(value, (int, float), key, "a number")
-    # false for nan, infinities and integers past float64's range alike
-    if not abs(value) <= sys.float_info.max:
-        raise DecodeError(f"config {key} must be finite and within float64 range, got {value!r}")
-    return float(value)
-
-
-def _count(value, key: str) -> int:
-    """A JSON number with an integral value as an int."""
-    value = _number(value, key)
-    if not value.is_integer():
-        raise DecodeError(f"config {key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def load_config(data: bytes | str | None = None, *,
                 base_dir: Path | None = None,
                 rule_pack_override: str | None = None,
@@ -128,92 +104,81 @@ def load_config(data: bytes | str | None = None, *,
                 trace_id: str = "trace") -> PipelineConfig:
     """Build a PipelineConfig from JSON, falling back to shipped defaults.
 
-    Keys the config omits keep their default values. `scheme_path` and a
-    path-valued `rule_pack` are resolved relative to base_dir. A value of
-    the wrong type or shape raises DecodeError naming its key.
+    Keys the config omits keep their default values, as do null `profile`
+    keys. `scheme_path` and a path-valued `rule_pack` are resolved relative
+    to base_dir; the pack is checked against the scheme's taxonomy. A value
+    of the wrong type or shape raises DecodeError naming its key.
     """
     defaults = json.loads(default_config_text())
-    if data is None:
-        obj = defaults
-    else:
-        if isinstance(data, bytes):
-            try:
-                data = data.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise DecodeError(f"config not valid UTF-8: {e.reason}") from None
-        try:
-            override = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise DecodeError(f"config not valid JSON: {e.msg}", row=e.lineno) from None
-        if not isinstance(override, dict):
-            raise DecodeError("config must be a JSON object")
+    obj = dict(defaults)
+    if data is not None:
+        override = _inputs.json_object(data, "config")
         unknown = set(override) - set(defaults)
         if unknown:
             raise DecodeError(f"unknown config keys: {sorted(unknown)}")
-        obj = {**defaults, **override}
-        if "features" in override:
-            obj["features"] = {**defaults["features"],
-                               **_of_type(override["features"], dict, "features", "an object")}
+        obj.update(override)
+    for block in ("features", "profile"):  # merged key by key over their defaults
+        given = _inputs.of_type(obj[block], dict, f"config {block}", "an object")
+        unknown = set(given) - set(defaults[block])
+        if unknown:
+            raise DecodeError(f"unknown {block} config keys: {sorted(unknown)}")
+        obj[block] = {**defaults[block], **given}
 
-    feat = dict(obj["features"])
-    extra_feat = set(feat) - set(defaults["features"])
-    if extra_feat:
-        raise DecodeError(f"unknown feature config keys: {sorted(extra_feat)}")
+    feat = obj["features"]
     # every key but the three apen_* ones names a FeatureParams field
     apen_r = feat.pop("apen_r")
-    apen = ApEnParams(m=_count(feat.pop("apen_m"), "features.apen_m"),
-                      r=None if apen_r is None else _number(apen_r, "features.apen_r"),
-                      r_scale=_number(feat.pop("apen_r_scale"), "features.apen_r_scale"))
-    params = FeatureParams(apen=apen, **{k: _number(v, f"features.{k}") for k, v in feat.items()})
+    apen = ApEnParams(
+        m=_inputs.count(feat.pop("apen_m"), "config features.apen_m"),
+        r=None if apen_r is None else _inputs.number(apen_r, "config features.apen_r"),
+        r_scale=_inputs.number(feat.pop("apen_r_scale"), "config features.apen_r_scale"))
+    params = FeatureParams(apen=apen, **{k: _inputs.number(v, f"config features.{k}")
+                                         for k, v in feat.items()})
+    # each profile key names a DriverProfile field; null reads as the default
+    profile = DriverProfile(**{k: _inputs.of_type(defaults["profile"][k] if v is None else v,
+                                                  str, f"config profile.{k}", "a string")
+                               for k, v in obj["profile"].items()})
 
-    scheme_path = _of_type(obj["scheme_path"], (str, type(None)), "scheme_path",
-                           "a path or null")
-    if scheme_path is None:
-        scheme = load_scheme()
-    else:
-        p = Path(scheme_path)
-        if base_dir is not None and not p.is_absolute():
-            p = base_dir / p
-        scheme = load_scheme(p.read_bytes())
+    def resolve(path: str) -> Path:
+        p = Path(path)
+        return base_dir / p if base_dir is not None and not p.is_absolute() else p
 
-    pack_name = rule_pack_override or _of_type(obj["rule_pack"], str, "rule_pack",
-                                               "a pack name or path")
+    scheme_path = _inputs.of_type(obj["scheme_path"], (str, type(None)), "config scheme_path",
+                                  "a path or null")
+    scheme = load_scheme(None if scheme_path is None else resolve(scheme_path).read_bytes())
+    taxonomy = default_taxonomy(scheme)
+    pack_name = rule_pack_override or _inputs.of_type(obj["rule_pack"], str, "config rule_pack",
+                                                      "a pack name or path")
     if pack_name in ("corrected", "verbatim"):
-        pack = load_stock_pack(pack_name)
+        pack = load_stock_pack(pack_name, taxonomy)
     else:
-        p = Path(pack_name)
-        if base_dir is not None and not p.is_absolute():
-            p = base_dir / p
-        pack = parse_rules(p.read_bytes(), default_taxonomy(scheme))
-
-    profile_obj = _of_type(obj["profile"], dict, "profile", "an object")
-    profile = DriverProfile(id=str(profile_obj.get("id") or "driver"),
-                            sex=profile_obj.get("sex") or "unspecified")
+        pack = parse_rules(resolve(pack_name).read_bytes(), taxonomy)
 
     snapshot_dir = snapshot_dir_override if snapshot_dir_override is not None \
-        else _of_type(obj["snapshot_dir"], (str, type(None)), "snapshot_dir", "a path or null")
+        else _inputs.of_type(obj["snapshot_dir"], (str, type(None)), "config snapshot_dir",
+                             "a path or null")
 
-    weights = _of_type(obj["fusion_weights"], dict, "fusion_weights", "an object")
+    weights = _inputs.of_type(obj["fusion_weights"], dict, "config fusion_weights", "an object")
     cutoffs = obj["fusion_cutoffs"]
     if not (isinstance(cutoffs, list) and len(cutoffs) == 2):
         raise DecodeError(f"config fusion_cutoffs must be two numbers, got {cutoffs!r}")
 
     return PipelineConfig(
-        window_length_s=_number(obj["window_length_s"], "window_length_s"),
-        window_stride_s=_number(obj["window_stride_s"], "window_stride_s"),
-        perclos_window_s=_number(obj["perclos_window_s"], "perclos_window_s"),
+        window_length_s=_inputs.number(obj["window_length_s"], "config window_length_s"),
+        window_stride_s=_inputs.number(obj["window_stride_s"], "config window_stride_s"),
+        perclos_window_s=_inputs.number(obj["perclos_window_s"], "config perclos_window_s"),
         scheme=scheme,
         rule_pack=pack,
-        weights=FusionWeights(weights={k: _number(v, f"fusion_weights.{k}")
+        weights=FusionWeights(weights={k: _inputs.number(v, f"config fusion_weights.{k}")
                                        for k, v in weights.items()}),
-        fusion_cutoffs=(_number(cutoffs[0], "fusion_cutoffs"),
-                        _number(cutoffs[1], "fusion_cutoffs")),
+        fusion_cutoffs=tuple(_inputs.number(c, "config fusion_cutoffs") for c in cutoffs),
         alert=AlertPolicy(
             level=FatigueLevel.from_name(
-                _of_type(obj["alert_level"], str, "alert_level", "a level name")),
-            consecutive=_count(obj["alert_consecutive_windows"], "alert_consecutive_windows")),
+                _inputs.of_type(obj["alert_level"], str, "config alert_level", "a level name")),
+            consecutive=_inputs.count(obj["alert_consecutive_windows"],
+                                      "config alert_consecutive_windows")),
         snapshot_dir=snapshot_dir,
-        snapshot_every_windows=_count(obj["snapshot_every_windows"], "snapshot_every_windows"),
+        snapshot_every_windows=_inputs.count(obj["snapshot_every_windows"],
+                                             "config snapshot_every_windows"),
         profile=profile,
         feature_params=params,
         trace_id=trace_id,

@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ArgumentError, DecodeError, SchemeError, UnboundFeatureError
+from . import _inputs
+from .errors import SchemeError, UnboundFeatureError
 from .features import FEATURE_NAMES, FeatureVector
 from .signals import DriverProfile, Sex
 
@@ -162,19 +163,16 @@ class QualifiedFact:
 
 
 def _bands_from_json(feature: str, raw) -> tuple[Band, ...]:
-    if not isinstance(raw, list):
-        raise SchemeError(f"{feature}: band list expected")
     bands = []
-    for entry in raw:
+    for entry in _inputs.of_type(raw, list, f"scheme {feature}", "a band list"):
         if not isinstance(entry, dict) or set(entry) != {"label", "lower", "upper"}:
             raise SchemeError(
                 f"{feature}: each band needs exactly label/lower/upper, got {entry!r}")
         for bound in ("lower", "upper"):
-            v = entry[bound]
-            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                raise SchemeError(f"{feature}: {bound} must be a number or null")
-        bands.append(Band(label=str(entry["label"]),
-                          lower=entry["lower"], upper=entry["upper"]))
+            if entry[bound] is not None:  # finite, and read as written: 6 stays 6
+                _inputs.number(entry[bound], f"scheme {feature} {bound}")
+        label = _inputs.of_type(entry["label"], str, f"scheme {feature} label", "a string")
+        bands.append(Band(label=label, lower=entry["lower"], upper=entry["upper"]))
     return tuple(bands)
 
 
@@ -187,9 +185,8 @@ def _scheme_from_mapping(obj: dict) -> QualificationScheme:
         if isinstance(raw, dict):
             if set(raw) != {"by_sex"}:
                 raise SchemeError(f"{feature}: expected a band list or a by_sex mapping")
-            table = raw["by_sex"]
-            if not isinstance(table, dict):
-                raise SchemeError(f"{feature}: by_sex must map sex to band lists")
+            table = _inputs.of_type(raw["by_sex"], dict, f"scheme {feature}.by_sex",
+                                    "an object of band lists")
             per_sex: dict[Sex, tuple[Band, ...]] = {}
             for sex_name, bands_raw in table.items():
                 try:
@@ -229,20 +226,10 @@ def load_scheme(config: bytes | str | None = None) -> QualificationScheme:
     """
     if config is None:
         return default_scheme()
-    if isinstance(config, bytes):
-        try:
-            config = config.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DecodeError(f"scheme config not valid UTF-8: {e.reason}") from None
+    config = _inputs.text(config, "scheme config")
     if not config.strip():
         return default_scheme()
-    try:
-        obj = json.loads(config)
-    except json.JSONDecodeError as e:
-        raise DecodeError(f"scheme config not valid JSON: {e.msg}", row=e.lineno) from None
-    if not isinstance(obj, dict):
-        raise SchemeError("scheme config must be a JSON object")
-    custom = _scheme_from_mapping(obj)
+    custom = _scheme_from_mapping(_inputs.json_object(config, "scheme config"))
     base = default_scheme()
     bands = dict(base.bands)
     by_sex = {f: dict(t) for f, t in base.bands_by_sex.items()}

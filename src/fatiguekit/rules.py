@@ -17,10 +17,11 @@ fused into one overall level by a weighted mean of the level encodings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
 
+from . import _inputs
 from .errors import (
     AmbiguityError,
     ArgumentError,
@@ -232,8 +233,7 @@ def parse_rules(text: bytes | str, taxonomy: Taxonomy | None = None) -> RulePack
     The stock taxonomy is used when none is given. Errors carry line and
     column of the offending token.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _inputs.text(text, "rule pack")
     if taxonomy is None:
         taxonomy = default_taxonomy()
     tokens = _tokenize(text)
@@ -255,13 +255,13 @@ def parse_rules(text: bytes | str, taxonomy: Taxonomy | None = None) -> RulePack
     return RulePack(rules=tuple(rules))
 
 
-def load_stock_pack(variant: str = "corrected") -> RulePack:
-    """One of the two shipped packs: "corrected" (default) or "verbatim"."""
+def load_stock_pack(variant: str = "corrected", taxonomy: Taxonomy | None = None) -> RulePack:
+    """A shipped pack, "corrected" (default) or "verbatim", parsed as by parse_rules."""
     if variant not in ("corrected", "verbatim"):
         raise ArgumentError(f"unknown stock rule pack {variant!r}")
     text = resources.files("fatiguekit").joinpath(
         f"data/rules/table1_{variant}.rules").read_text("utf-8")
-    return parse_rules(text)
+    return parse_rules(text, taxonomy)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +373,7 @@ def _nearest_level_classes(taxonomy: Taxonomy, cls: str
 class FusionWeights:
     """Non-negative weight per source; at least one must be positive."""
 
-    weights: dict[str, float] = field(default_factory=lambda: {
-        "SteeringWheel": 1.0, "YawAngle": 1.0})
+    weights: dict[str, float]
 
     def __post_init__(self):
         for source, w in self.weights.items():
@@ -389,7 +388,7 @@ class FusionWeights:
 
 
 def fuse(levels: dict[str, FatigueLevel],
-         weights: FusionWeights = FusionWeights(),
+         weights: FusionWeights,
          cutoffs: tuple[float, float] = (0.5, 1.5)) -> FatigueLevel:
     """Weighted mean of the level encodings, mapped back to a level.
 

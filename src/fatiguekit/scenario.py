@@ -14,12 +14,12 @@ seeded by (spec.seed, segment index).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecodeError, ScenarioSpecError
+from . import _inputs
+from .errors import ScenarioSpecError
 from .signals import SignalFrame
 
 REGIMES = ("alert", "drowsy")
@@ -70,17 +70,7 @@ class ScenarioSpec:
 
 def parse_scenario_spec(data: bytes | str) -> ScenarioSpec:
     """Read a spec from JSON: duration, sample_rate, seed, segments."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DecodeError(f"scenario spec not valid UTF-8: {e.reason}") from None
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise DecodeError(f"scenario spec not valid JSON: {e.msg}", row=e.lineno) from None
-    if not isinstance(obj, dict):
-        raise ScenarioSpecError("scenario spec must be a JSON object")
+    obj = _inputs.json_object(data, "scenario spec")
     known = {"duration", "sample_rate", "seed", "segments"}
     unknown = set(obj) - known
     if unknown:
@@ -88,16 +78,21 @@ def parse_scenario_spec(data: bytes | str) -> ScenarioSpec:
     if "duration" not in obj:
         raise ScenarioSpecError("spec needs a duration")
     segments = []
-    for i, raw in enumerate(obj.get("segments", [])):
+    raw_segments = _inputs.of_type(obj.get("segments", []), list, "scenario spec segments",
+                                   "a list")
+    for i, raw in enumerate(raw_segments):
         if not isinstance(raw, dict) or set(raw) != {"start", "end", "regime"}:
             raise ScenarioSpecError(
                 f"segment {i} needs exactly start/end/regime, got {raw!r}")
-        segments.append(Segment(start=float(raw["start"]), end=float(raw["end"]),
-                                regime=str(raw["regime"])))
+        key = f"scenario spec segments[{i}]"
+        segments.append(Segment(
+            start=_inputs.number(raw["start"], f"{key}.start"),
+            end=_inputs.number(raw["end"], f"{key}.end"),
+            regime=_inputs.of_type(raw["regime"], str, f"{key}.regime", "a regime name")))
     return ScenarioSpec(
-        duration=float(obj["duration"]),
-        sample_rate=float(obj.get("sample_rate", 10.0)),
-        seed=int(obj.get("seed", 0)),
+        duration=_inputs.number(obj["duration"], "scenario spec duration"),
+        sample_rate=_inputs.number(obj.get("sample_rate", 10.0), "scenario spec sample_rate"),
+        seed=_inputs.count(obj.get("seed", 0), "scenario spec seed"),
         segments=tuple(segments),
     )
 

@@ -30,6 +30,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import _inputs
 from .errors import (
     ArgumentError,
     DecodeError,
@@ -469,7 +470,9 @@ def _parse_jsonl(text: str) -> Trace:
                     continue  # explicit null reads the same as an absent key
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise DecodeError(f"value for {key!r} must be a number", row=row)
-                record[key] = float(value)
+                # a non-finite float is a range fault, found in row order by finish()
+                record[key] = value if isinstance(value, float) else \
+                    _inputs.number(value, f"value for {key!r}", row)
             if "t" not in record:
                 raise DecodeError("missing key 't'", row=row)
             out.add(row, [record.get(name) for name in names])
@@ -490,13 +493,7 @@ def parse_trace(data: bytes | str, format: str = "csv") -> Trace:
         MonotonicityError: timestamps that do not strictly increase.
         RangeError: a channel value outside its documented range.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DecodeError(f"not valid UTF-8: {e.reason}") from None
-    else:
-        text = data
+    text = _inputs.text(data, "trace")
     if format == "csv":
         return _parse_csv(text)
     if format == "jsonl":

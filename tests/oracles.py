@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -281,6 +282,9 @@ def parse_jsonl_rowwise(text: str) -> list[SignalFrame]:
                 continue  # explicit null reads the same as an absent key
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DecodeError(f"value for {key!r} must be a number", row=line_idx)
+            if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+                raise DecodeError(f"value for {key!r} must be finite and within float64 "
+                                  f"range, got {value!r}", row=line_idx)
             record[key] = float(value)
         if "t" not in record:
             raise DecodeError("missing key 't'", row=line_idx)

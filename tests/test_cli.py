@@ -1,11 +1,14 @@
+import copy
 import json
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from importlib import resources
 
-from fatiguekit import generate_scenario, save_snapshot, simple_spec
+from fatiguekit import default_config_text, generate_scenario, save_snapshot, simple_spec
 from fatiguekit.cli import main
 from fatiguekit.kstore import FactBase, KnowledgeSnapshot, assert_fact, default_taxonomy
 from fatiguekit.signals import serialize_trace
@@ -183,3 +186,133 @@ class TestSnapshotDump:
         path.write_text("{")
         assert main(["snapshot", "dump", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# -- malformed input in every format exits 1 -------------------------------
+
+SNAPSHOT = {"taxonomy": {"classes": ["A"], "subclass_of": {}}, "memberships": [],
+            "data_properties": [], "meta": {"timestamp": 60.0, "window": [0.0, 60.0]}}
+SPEC = {"duration": 20.0, "seed": 1,
+        "segments": [{"start": 0.0, "end": 20.0, "regime": "alert"}]}
+STOCK_SCHEME = json.loads((resources.files("fatiguekit") / "data" / "default_scheme.json")
+                          .read_text("utf-8"))
+
+
+RUN = ["run", "t.csv", "--config", "c.json"]
+GEN = ["gen", "spec.json", "--out", "g.csv"]
+DUMP = ["snapshot", "dump", "snap.json"]
+
+
+@pytest.mark.parametrize("argv, files, named", [
+    pytest.param(["rules", "check", "bad.rules"], {"bad.rules": b"rule \xff"},
+                 "rule pack not valid UTF-8", id="pack-not-utf8"),
+    pytest.param(RUN, {"c.json": {"rule_pack": "bad.rules"}, "bad.rules": b"\xff"},
+                 "rule pack not valid UTF-8", id="config-pack-not-utf8"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "duration": "abc"}}, "duration",
+                 id="spec-duration-text"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "seed": "x"}}, "seed", id="spec-seed-text"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "seed": 1.7}}, "seed", id="spec-seed-fraction"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "seed": True}}, "seed", id="spec-seed-bool"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "segments": [
+        {"start": "a", "end": 20.0, "regime": "alert"}]}}, "segments[0].start",
+                 id="spec-segment-start-text"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "segments": 5}}, "segments",
+                 id="spec-segments-number"),
+    pytest.param(DUMP, {"snap.json": {**SNAPSHOT, "meta": {"window": ["a", 1]}}},
+                 "meta.window", id="snapshot-window-text"),
+    pytest.param(DUMP, {"snap.json": {**SNAPSHOT, "meta": {"timestamp": "x"}}},
+                 "meta.timestamp", id="snapshot-timestamp-text"),
+    pytest.param(DUMP, {"snap.json": {**SNAPSHOT, "meta": {"timestamp": [1]}}},
+                 "meta.timestamp", id="snapshot-timestamp-list"),
+    pytest.param(DUMP, {"snap.json": {**SNAPSHOT, "taxonomy": {
+        "classes": [1, 2], "subclass_of": {}}}}, "taxonomy.classes",
+                 id="snapshot-class-numbers"),
+    pytest.param(["run", "t.jsonl"], {"t.jsonl": b'{"t": 0.0, "swa": 1' + b"0" * 400 + b"}"},
+                 "value for 'swa' must be finite", id="jsonl-integer-past-float64"),
+    pytest.param(RUN, {"c.json": {"scheme_path": "s.json"}, "s.json": {"mean_swa_abs": [
+        {"label": "MeanSWA_Small", "lower": 0.0, "upper": 6.0},
+        {"label": "MeanSWA_Large", "lower": 6.0, "upper": float("nan")},
+        {"label": "MeanSWA_Extreme", "lower": float("nan"), "upper": None}]}},
+                 "scheme mean_swa_abs upper must be finite", id="scheme-nan-bound"),
+    pytest.param(RUN, {"c.json": b'{"window_length_s": 1' + b"0" * 5000 + b"}"},
+                 "config not valid JSON", id="config-integer-past-digit-limit"),
+    pytest.param(RUN, {"c.json": {"profile": {"id": "d", "sexx": "female"}}}, "sexx",
+                 id="profile-unknown-key"),
+    pytest.param(RUN, {"c.json": {"profile": {"id": 5}}}, "profile.id",
+                 id="profile-id-number"),
+    pytest.param(RUN, {"c.json": {"scheme_path": "s.json"}, "s.json": {"mean_swa_abs": [
+        {**band, "label": band["label"].replace("MeanSWA", "MSWA")}
+        for band in STOCK_SCHEME["mean_swa_abs"]]}},
+                 "unknown class 'MeanSWA_Small' in rule 'steering_low'",
+                 id="stock-pack-against-scheme-taxonomy"),
+])
+def test_malformed_input_exits_1_naming_the_field(tmp_path, monkeypatch, capsys,
+                                                  argv, files, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("t,swa\n0.0,1.0\n0.1,1.0\n")
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(
+            content if isinstance(content, bytes) else json.dumps(content).encode())
+    assert main(argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert errors and named in errors[0]
+
+
+# -- any value of another type: exit 0 or 1, never 2 -------------------------
+
+def json_positions(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_positions(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Each JSON input format's stock document, and the command reading it."""
+    root = tmp_path_factory.mktemp("documents")
+    trace = root / "drive.csv"
+    trace.write_bytes(serialize_trace(
+        generate_scenario(simple_spec("drowsy", duration=70.0, seed=2)), "csv"))
+    assert main(["run", str(trace), "--snapshot-dir", str(root / "snaps"),
+                 "--out", str(root / "r.jsonl")]) == 0
+    run = ["run", str(trace), "--config", "c.json", "--out", "r.jsonl"]
+    return {
+        "config": (json.loads(default_config_text()), "c.json", run),
+        "scheme": (STOCK_SCHEME, "s.json", run),
+        "spec": ({**SPEC, "segments": [{"start": 0.0, "end": 10.0, "regime": "alert"},
+                                       {"start": 10.0, "end": 20.0, "regime": "drowsy"}]},
+                 "spec.json", GEN),
+        "snapshot": (json.loads((root / "snaps" / "window_00000.snapshot.json").read_text()),
+                     "snap.json", DUMP),
+    }
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_value_of_another_type_never_exits_2(tmp_path, monkeypatch, capsys,
+                                                 documents, data):
+    monkeypatch.chdir(tmp_path)  # a snapshot_dir string is a relative path
+    kind = data.draw(st.sampled_from(sorted(documents)))
+    doc, name, argv = documents[kind]
+    path = data.draw(st.sampled_from(list(json_positions(doc))))
+    value = data.draw(st.sampled_from(["x", True, None, [1], {"k": 1}, float("nan"), 10**400]))
+    (tmp_path / name).write_text(json.dumps(replaced(doc, path, value)))
+    if kind == "scheme":
+        (tmp_path / "c.json").write_text(json.dumps({"scheme_path": "s.json"}))
+    assert main(argv) in (0, 1), capsys.readouterr().err

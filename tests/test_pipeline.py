@@ -21,6 +21,7 @@ from fatiguekit import (
     FeatureParams,
     PipelineConfig,
     Trace,
+    UnknownClassError,
     decide,
     default_config_text,
     eye_features,
@@ -37,6 +38,7 @@ from fatiguekit.pipeline import _latest_elapsed, _perclos_by_window_end
 LOW = FatigueLevel.LOW
 MED = FatigueLevel.MEDIUM
 HIGH = FatigueLevel.HIGH
+POLICY = load_config().alert  # High, two windows in a row
 
 
 def cfg_from(overrides, **kwargs):
@@ -52,24 +54,24 @@ def pack_flavor(pack):
 
 class TestDecide:
     def test_two_high_in_a_row(self):
-        assert decide([LOW, HIGH, HIGH], AlertPolicy()) == [2]
+        assert decide([LOW, HIGH, HIGH], POLICY) == [2]
 
     def test_interrupted_streak(self):
-        assert decide([HIGH, LOW, HIGH], AlertPolicy()) == []
+        assert decide([HIGH, LOW, HIGH], POLICY) == []
 
     def test_rearm_after_drop(self):
-        assert decide([HIGH, HIGH, HIGH, LOW, HIGH, HIGH], AlertPolicy()) == [1, 5]
+        assert decide([HIGH, HIGH, HIGH, LOW, HIGH, HIGH], POLICY) == [1, 5]
 
     def test_none_breaks_streak(self):
-        assert decide([HIGH, None, HIGH, HIGH], AlertPolicy()) == [3]
+        assert decide([HIGH, None, HIGH, HIGH], POLICY) == [3]
 
     def test_consecutive_one(self):
-        policy = AlertPolicy(consecutive=1)
+        policy = dataclasses.replace(POLICY, consecutive=1)
         assert decide([LOW, HIGH, LOW, HIGH], policy) == [1, 3]
 
     def test_no_levels_no_alerts(self):
-        assert decide([], AlertPolicy()) == []
-        assert decide([None, None], AlertPolicy()) == []
+        assert decide([], POLICY) == []
+        assert decide([None, None], POLICY) == []
 
     def test_medium_threshold_policy(self):
         policy = AlertPolicy(level=MED, consecutive=2)
@@ -78,7 +80,7 @@ class TestDecide:
 
     def test_policy_validation(self):
         with pytest.raises(ArgumentError):
-            AlertPolicy(consecutive=0)
+            dataclasses.replace(POLICY, consecutive=0)
 
 
 class TestLoadConfig:
@@ -165,6 +167,17 @@ class TestLoadConfig:
         assert cfg.profile.id == "driver"
         assert cfg.profile.sex.value == "unspecified"
 
+    def test_stock_pack_checked_against_the_scheme_taxonomy(self, tmp_path):
+        # renamed mean steering labels leave the stock pack's MeanSWA_*
+        # conditions unknown; the config fails, naming the rule and line
+        (tmp_path / "s.json").write_text(json.dumps({"mean_swa_abs": [
+            {"label": "MSWA_Small", "lower": 0.0, "upper": 6.0},
+            {"label": "MSWA_Large", "lower": 6.0, "upper": None}]}))
+        with pytest.raises(UnknownClassError) as exc:
+            cfg_from({"scheme_path": "s.json"}, base_dir=tmp_path)
+        assert (exc.value.class_name, exc.value.rule, exc.value.line) == \
+            ("MeanSWA_Small", "steering_low", 9)
+
     def test_fusion_weights(self):
         cfg = cfg_from({"fusion_weights": {"SteeringWheel": 3.0, "YawAngle": 1.0}})
         assert cfg.weights.get("SteeringWheel") == 3.0
@@ -245,7 +258,7 @@ class TestRunEndToEnd:
     def test_alert_flags_match_decide(self):
         report = run_scenario("drowsy", duration=300.0)
         flagged = [i for i, r in enumerate(report.records) if r.alert]
-        assert flagged == decide([r.overall for r in report.records], AlertPolicy())
+        assert flagged == decide([r.overall for r in report.records], POLICY)
 
     def test_determinism(self):
         a = run_scenario("drowsy", duration=240.0, seed=5).to_jsonl()

@@ -21,9 +21,11 @@ from fatiguekit import (
     infer,
     load_stock_pack,
     parse_rules,
+    load_config,
     read_fatigue,
 )
 
+WEIGHTS = load_config().weights  # SteeringWheel and YawAngle at 1.0
 STEERING_ANCHOR = "SteeringWheelMeasurementFatigue"
 YAW_ANCHOR = "YawAngleMeasurementFatigue"
 
@@ -325,15 +327,15 @@ class TestFatigueLevel:
 class TestFusion:
     def test_unanimous_high(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH, "YawAngle": FatigueLevel.HIGH}
-        assert fuse(levels) is FatigueLevel.HIGH
+        assert fuse(levels, WEIGHTS) is FatigueLevel.HIGH
 
     def test_split_is_medium(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH, "YawAngle": FatigueLevel.LOW}
-        assert fuse(levels) is FatigueLevel.MEDIUM
+        assert fuse(levels, WEIGHTS) is FatigueLevel.MEDIUM
 
     def test_single_source_identity(self):
         for level in FatigueLevel:
-            assert fuse({"SteeringWheel": level}) is level
+            assert fuse({"SteeringWheel": level}, WEIGHTS) is level
 
     def test_weighted_tilt(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH, "YawAngle": FatigueLevel.LOW}
@@ -342,11 +344,11 @@ class TestFusion:
 
     def test_score_half_is_medium(self):
         levels = {"SteeringWheel": FatigueLevel.LOW, "YawAngle": FatigueLevel.MEDIUM}
-        assert fuse(levels) is FatigueLevel.MEDIUM
+        assert fuse(levels, WEIGHTS) is FatigueLevel.MEDIUM
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            fuse({})
+            fuse({}, WEIGHTS)
 
     def test_zero_present_weight_rejected(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH}
@@ -356,7 +358,7 @@ class TestFusion:
 
     def test_bad_cutoffs(self):
         with pytest.raises(ArgumentError):
-            fuse({"SteeringWheel": FatigueLevel.LOW}, cutoffs=(1.5, 0.5))
+            fuse({"SteeringWheel": FatigueLevel.LOW}, WEIGHTS, (1.5, 0.5))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ArgumentError):
@@ -368,7 +370,7 @@ class TestFusion:
 
     def test_unknown_source_gets_unit_weight(self):
         levels = {"Mystery": FatigueLevel.MEDIUM}
-        assert fuse(levels, FusionWeights()) is FatigueLevel.MEDIUM
+        assert fuse(levels, WEIGHTS) is FatigueLevel.MEDIUM
 
     def test_equal_weight_tie_at_cutoff_survives_scaling(self):
         # High and Medium at equal weight tie the 1.5 cutoff exactly; summing
@@ -398,7 +400,7 @@ class TestFusion:
            st.integers(min_value=1, max_value=4))
     def test_unanimity(self, level, n):
         levels = {f"S{i}": level for i in range(n)}
-        assert fuse(levels) is level
+        assert fuse(levels, WEIGHTS) is level
 
 
 def _reading(fb):
