@@ -69,7 +69,6 @@ from .pipeline import (
     run,
 )
 from .qualify import (
-    FEATURE_FAMILIES,
     Band,
     QualificationScheme,
     QualifiedFact,
@@ -79,7 +78,6 @@ from .qualify import (
     qualify,
 )
 from .rules import (
-    SOURCE_ALIASES,
     FatigueLevel,
     FiredRule,
     FusionWeights,
@@ -129,9 +127,9 @@ __all__ = [
     "load_snapshot", "query_class", "save_snapshot",
     "AlertPolicy", "FatigueReport", "PipelineConfig", "WindowRecord",
     "decide", "default_config_text", "load_config", "run",
-    "FEATURE_FAMILIES", "Band", "QualificationScheme", "QualifiedFact",
+    "Band", "QualificationScheme", "QualifiedFact",
     "default_scheme", "individual_name", "load_scheme", "qualify",
-    "SOURCE_ALIASES", "FatigueLevel", "FiredRule", "FusionWeights", "Rule",
+    "FatigueLevel", "FiredRule", "FusionWeights", "Rule",
     "RulePack", "fuse", "infer", "load_stock_pack", "parse_rules",
     "read_fatigue",
     "REGIMES", "ScenarioSpec", "Segment", "generate_scenario",

@@ -20,7 +20,8 @@ from pathlib import Path
 from .errors import DecodeError, FatigueKitError
 from .kstore import default_taxonomy, load_snapshot
 from .pipeline import load_config, run
-from .rules import parse_rules
+from .qualify import default_scheme
+from .rules import dead_conditions, parse_rules
 from .scenario import generate_scenario, parse_scenario_spec
 from .signals import parse_trace, serialize_trace
 
@@ -78,6 +79,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_rules_check(args: argparse.Namespace) -> int:
     pack = parse_rules(Path(args.pack).read_bytes(), default_taxonomy())
+    for rule, cls in dead_conditions(pack, default_scheme()):
+        print(f"warning: rule {rule!r} never fires: nothing produces {cls} or a subclass",
+              file=sys.stderr)
     print(f"{len(pack.rules)} rules OK")
     return 0
 

@@ -1,4 +1,4 @@
-"""Minimal knowledge store: taxonomy, facts, snapshots.
+"""Minimal knowledge store: the shipped ontology, taxonomy, facts, snapshots.
 
 The taxonomy is an acyclic subclass graph (a class may declare several
 parents). A fact base holds class memberships and data-property triples for
@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from importlib import resources
 
 from . import _inputs
 from .errors import ArgumentError, DecodeError, UnknownClassError
+from .features import FEATURE_NAMES
+from .qualify import default_scheme
 
 ENGINE_VERSION = "0.1.0"
 
@@ -238,12 +241,30 @@ def save_snapshot(s: KnowledgeSnapshot) -> bytes:
     return ("{\n" + body + "\n}\n").encode("utf-8")
 
 
-def _expect(obj: dict, key: str, kind, where: str):
+def _expect(obj: dict, key: str, kind, what: str, where: str = ""):
     if key not in obj:
-        raise DecodeError(f"snapshot missing {where}{key!r}")
+        raise DecodeError(f"{what} missing {where}{key!r}")
     if not isinstance(obj[key], kind):
-        raise DecodeError(f"snapshot {where}{key!r} has the wrong type")
+        raise DecodeError(f"{what} {where}{key!r} has the wrong type")
     return obj[key]
+
+
+def _decode_taxonomy(obj: dict, what: str) -> Taxonomy:
+    """The `taxonomy` section of a snapshot or the ontology, named by `what`."""
+    tax_obj = _expect(obj, "taxonomy", dict, what)
+    classes = _expect(tax_obj, "classes", list, what, "taxonomy.")
+    if not all(isinstance(c, str) for c in classes):
+        raise DecodeError(f"{what} taxonomy.classes must list class names")
+    sub = _expect(tax_obj, "subclass_of", dict, what, "taxonomy.")
+    parents = {}
+    for child, ps in sub.items():
+        if not isinstance(ps, list) or not all(isinstance(p, str) for p in ps):
+            raise DecodeError(f"{what} taxonomy.subclass_of[{child!r}] must list classes")
+        parents[child] = tuple(ps)
+    try:
+        return Taxonomy(classes=frozenset(classes), parents=parents)
+    except (UnknownClassError, ArgumentError) as e:
+        raise DecodeError(f"{what} taxonomy invalid: {e}") from None
 
 
 def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
@@ -253,29 +274,16 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
     for schema violations.
     """
     obj = _inputs.json_object(data, "snapshot")
-    tax_obj = _expect(obj, "taxonomy", dict, "")
-    classes = _expect(tax_obj, "classes", list, "taxonomy.")
-    if not all(isinstance(c, str) for c in classes):
-        raise DecodeError("snapshot taxonomy.classes must list class names")
-    sub = _expect(tax_obj, "subclass_of", dict, "taxonomy.")
-    parents = {}
-    for child, ps in sub.items():
-        if not isinstance(ps, list) or not all(isinstance(p, str) for p in ps):
-            raise DecodeError(f"snapshot taxonomy.subclass_of[{child!r}] must list classes")
-        parents[child] = tuple(ps)
-    try:
-        taxonomy = Taxonomy(classes=frozenset(classes), parents=parents)
-    except (UnknownClassError, ArgumentError) as e:
-        raise DecodeError(f"snapshot taxonomy invalid: {e}") from None
+    taxonomy = _decode_taxonomy(obj, "snapshot")
 
     memberships = set()
-    for entry in _expect(obj, "memberships", list, ""):
+    for entry in _expect(obj, "memberships", list, "snapshot"):
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(isinstance(x, str) for x in entry)):
             raise DecodeError(f"snapshot membership {entry!r} must be [individual, class]")
         memberships.add((entry[0], entry[1]))
     data_properties = set()
-    for entry in _expect(obj, "data_properties", list, ""):
+    for entry in _expect(obj, "data_properties", list, "snapshot"):
         if not (isinstance(entry, list) and len(entry) == 3
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise DecodeError(
@@ -284,7 +292,7 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
         _inputs.number(entry[2], f"snapshot data property {entry[:2]!r} value")
         data_properties.add((entry[0], entry[1], entry[2]))
 
-    meta = _expect(obj, "meta", dict, "")
+    meta = _expect(obj, "meta", dict, "snapshot")
     window = meta.get("window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2):
@@ -314,91 +322,54 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Default taxonomy
+# The ontology: what the knowledge layer knows
 
-# Structural classes: child -> parents. Band labels from the qualification
-# scheme and the fatigue verdict classes hang off these.
-_SKELETON: dict[str, tuple[str, ...]] = {
-    "Vehicle_Measure": (),
-    "Physical_Measure": (),
-    "Physiological_Measure": (),
+@dataclass(frozen=True)
+class Ontology:
+    """`data/ontology.json`, decoded and checked; one shared instance, never mutated."""
 
-    "SteeringWheelAngleMeasurement": ("Vehicle_Measure",),
-    "YawAngleMeasurement": ("Vehicle_Measure",),
-    "SpeedAccelerationMeasurement": ("Vehicle_Measure",),
-    "LanePositionMeasurement": ("Vehicle_Measure",),
-    "VehicleBasedMeasurementFatigue": ("Vehicle_Measure",),
+    taxonomy: Taxonomy                # structural classes; band labels hang off them
+    feature_families: dict[str, str]  # feature -> class its band labels hang under
+    anchors: dict[str, str]           # anchor individual -> its verdict class
+    source_names: dict[str, str]      # verdict-class stem -> source name in reports
 
-    "MeanSWA": ("SteeringWheelAngleMeasurement",),
-    "FrequencyCorrection": ("SteeringWheelAngleMeasurement",),
-    "SWA_measure": ("SteeringWheelAngleMeasurement",),
-    "ApproximateEntropySWA": ("SteeringWheelAngleMeasurement",),
-    "AngularVelocity": ("SteeringWheelAngleMeasurement",),
 
-    "MeanYaw": ("YawAngleMeasurement",),
-    "VarYaw": ("YawAngleMeasurement",),
-    "Yaw_measure": ("YawAngleMeasurement",),
-    "ApproximateEntropyYaw": ("YawAngleMeasurement",),
-    "AccelerationYawRate": ("YawAngleMeasurement",),
+def _decode_ontology(data: bytes | str) -> Ontology:
+    """An ontology document. Every family and anchor must be a class of its
+    taxonomy, and the families must cover exactly FEATURE_NAMES."""
+    obj = _inputs.json_object(data, "ontology")
+    taxonomy = _decode_taxonomy(obj, "ontology")
+    maps = {}
+    for section in ("feature_families", "anchors", "source_names"):
+        maps[section] = _expect(obj, section, dict, "ontology")
+        for key, name in maps[section].items():
+            _inputs.of_type(name, str, f"ontology {section}.{key}", "a name")
+            if section != "source_names" and name not in taxonomy.classes:
+                raise DecodeError(f"ontology {section}.{key} names unknown class {name!r}")
+    if set(maps["feature_families"]) != set(FEATURE_NAMES):
+        odd = sorted(set(maps["feature_families"]) ^ set(FEATURE_NAMES))
+        raise DecodeError(f"ontology feature_families must map exactly the features: {odd}")
+    return Ontology(taxonomy=taxonomy, **maps)
 
-    "LatAccelRange": ("SpeedAccelerationMeasurement",),
-    "LaneDeviation": ("LanePositionMeasurement",),
-    "LaneCrossings": ("LanePositionMeasurement",),
 
-    "Facial_Measure": ("Physical_Measure",),
-    "Eye_Measure": ("Facial_Measure",),
-    "Mouth_Measure": ("Facial_Measure",),
-    "Head_Measure": ("Facial_Measure",),
-    "Gaze_Measure": ("Facial_Measure",),
-
-    "PERCLOS": ("Eye_Measure",),
-    "BlinkFrequency": ("Eye_Measure",),
-    "BlinkDuration": ("Eye_Measure",),
-    "MicroSleep": ("Eye_Measure",),
-    "YawnCount": ("Mouth_Measure",),
-    "YawnFrequency": ("Mouth_Measure",),
-    "HeadPitch": ("Head_Measure",),
-    "HeadMovement": ("Head_Measure",),
-    "PERSAC": ("Gaze_Measure",),
-
-    "HeartRateMeasurement": ("Physiological_Measure",),
-    "BPM": ("HeartRateMeasurement",),
-
-    # Verdict classes. The per-level subclasses keep the compressed spelling
-    # ("Measurment") used by the stock rule packs; the anchors are spelled out.
-    "SteeringWheelMeasurementFatigue": ("VehicleBasedMeasurementFatigue",),
-    "YawAngleMeasurementFatigue": ("VehicleBasedMeasurementFatigue",),
-    "SteeringWheelMeasurmentFatigue_Low": ("SteeringWheelMeasurementFatigue",),
-    "SteeringWheelMeasurmentFatigue_Medium": ("SteeringWheelMeasurementFatigue",),
-    "SteeringWheelMeasurmentFatigue_High": ("SteeringWheelMeasurementFatigue",),
-    "YawAngleMeasurmentFatigue_Low": ("YawAngleMeasurementFatigue",),
-    "YawAngleMeasurmentFatigue_Medium": ("YawAngleMeasurementFatigue",),
-    "YawAngleMeasurmentFatigue_High": ("YawAngleMeasurementFatigue",),
-
-    # Yaw magnitude levels referenced by the corrected rule pack.
-    "MeanYaw_Small": ("MeanYaw",),
-    "MeanYaw_Large": ("MeanYaw",),
-    "MeanYaw_Extreme": ("MeanYaw",),
-}
+@cache
+def ontology() -> Ontology:
+    """The shipped ontology, read once per process."""
+    return _decode_ontology((resources.files("fatiguekit") / "data/ontology.json").read_bytes())
 
 
 def default_taxonomy(scheme=None) -> Taxonomy:
-    """The stock taxonomy: structural skeleton plus every band label of the
-    given qualification scheme (the shipped default when omitted), each
-    attached to its feature's family class."""
-    from .qualify import FEATURE_FAMILIES, default_scheme  # deferred, no cycle at import
-
+    """The ontology's taxonomy plus every band label of the given
+    qualification scheme (the shipped default when omitted), each attached
+    to its feature's family class."""
+    onto = ontology()
     if scheme is None:
         scheme = default_scheme()
-    classes = set(_SKELETON)
-    parents = dict(_SKELETON)
+    classes = set(onto.taxonomy.classes)
+    parents = dict(onto.taxonomy.parents)
     for feature, labels in scheme.all_labels().items():
-        family = FEATURE_FAMILIES[feature]
-        if family not in classes:
-            classes.add(family)
-            parents[family] = ()
+        family = onto.feature_families[feature]
         for label in labels:
             classes.add(label)
-            merged = tuple(dict.fromkeys(parents.get(label, ()) + (family,)))
-            parents[label] = merged
+            parents[label] = tuple(dict.fromkeys(parents.get(label, ()) + (family,)))
     return Taxonomy(classes=frozenset(classes), parents=parents)

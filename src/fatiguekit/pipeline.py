@@ -28,7 +28,7 @@ from .features import (
     closed_fraction,
     extract_features,
 )
-from .kstore import FactBase, KnowledgeSnapshot, default_taxonomy, save_snapshot
+from .kstore import FactBase, KnowledgeSnapshot, default_taxonomy, ontology, save_snapshot
 from .kstore import assert_fact, assert_value  # noqa: F401  patched by perfbench's tracer
 from .qualify import QualificationScheme, QualifiedFact, load_scheme, qualify
 from .rules import (
@@ -43,14 +43,6 @@ from .rules import (
     read_fatigue,
 )
 from .signals import DriverProfile, SignalFrame, Trace, Window, make_windows
-
-# Anchor individuals seeded into every window's fact base, one per verdict
-# source the stock packs know about.
-ANCHOR_CLASSES = {
-    "steering": "SteeringWheelMeasurementFatigue",
-    "yaw": "YawAngleMeasurementFatigue",
-}
-
 
 @dataclass(frozen=True)
 class AlertPolicy:
@@ -283,6 +275,7 @@ def run(frames: Sequence[SignalFrame], cfg: PipelineConfig | None = None) -> Fat
     windows = make_windows(trace, cfg.window_length_s, cfg.window_stride_s)
     perclos_ends, perclos_values = _perclos_by_window_end(trace, cfg)
     taxonomy = default_taxonomy(cfg.scheme)
+    anchors = ontology().anchors
 
     records: list[WindowRecord] = []
     snapshots: list[tuple[int, KnowledgeSnapshot]] = []
@@ -296,7 +289,7 @@ def run(frames: Sequence[SignalFrame], cfg: PipelineConfig | None = None) -> Fat
 
         # one build per window; a repeated (individual, property) keeps the
         # last value, as assert_value would
-        members = {(f"{name}@{w.start_t}", cls) for name, cls in ANCHOR_CLASSES.items()}
+        members = {(f"{name}@{w.start_t}", cls) for name, cls in anchors.items()}
         values: dict[tuple[str, str], float] = {}
         for fact in facts:
             members.add((fact.individual, fact.class_label))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from . import _inputs
@@ -23,33 +24,6 @@ from .signals import DriverProfile, Sex
 
 # Features whose values can be negative; their band sets must reach -inf.
 SIGNED_FEATURES = frozenset({"head_ewma"})
-
-# Taxonomy parent for each feature's band labels.
-FEATURE_FAMILIES = {
-    "mean_swa_abs": "MeanSWA",
-    "max_swa_abs": "SWA_measure",
-    "swa_correction_freq": "FrequencyCorrection",
-    "swa_angular_velocity_max": "AngularVelocity",
-    "swa_apen": "ApproximateEntropySWA",
-    "mean_yaw_abs": "Yaw_measure",
-    "var_yaw": "VarYaw",
-    "yaw_apen": "ApproximateEntropyYaw",
-    "yaw_accel_max": "AccelerationYawRate",
-    "lat_accel_range": "LatAccelRange",
-    "lane_std": "LaneDeviation",
-    "lane_crossings": "LaneCrossings",
-    "perclos80": "PERCLOS",
-    "blink_freq": "BlinkFrequency",
-    "blink_dur_mean": "BlinkDuration",
-    "microsleep_count": "MicroSleep",
-    "yawn_count": "YawnCount",
-    "yawn_freq": "YawnFrequency",
-    "head_ewma": "HeadPitch",
-    "head_ewvar": "HeadMovement",
-    "mean_bpm": "BPM",
-    "gaze_persac": "PERSAC",
-}
-
 
 @dataclass(frozen=True, slots=True)
 class Band:
@@ -200,20 +174,11 @@ def _scheme_from_mapping(obj: dict) -> QualificationScheme:
     return QualificationScheme(bands=plain, bands_by_sex=by_sex)
 
 
-def _read_default_scheme_text() -> str:
-    return resources.files("fatiguekit").joinpath(
-        "data/default_scheme.json").read_text("utf-8")
-
-
-_default_scheme_cache: QualificationScheme | None = None
-
-
+@cache
 def default_scheme() -> QualificationScheme:
-    """The scheme shipped with the package. Covers every feature."""
-    global _default_scheme_cache
-    if _default_scheme_cache is None:
-        _default_scheme_cache = _scheme_from_mapping(json.loads(_read_default_scheme_text()))
-    return _default_scheme_cache
+    """The scheme shipped with the package, read once. Covers every feature."""
+    return _scheme_from_mapping(json.loads(resources.files("fatiguekit").joinpath(
+        "data/default_scheme.json").read_text("utf-8")))
 
 
 def load_scheme(config: bytes | str | None = None) -> QualificationScheme:

@@ -30,7 +30,8 @@ from .errors import (
     RuleSyntaxError,
     UnknownClassError,
 )
-from .kstore import FactBase, Taxonomy, assert_fact, default_taxonomy, query_class
+from .kstore import FactBase, Taxonomy, assert_fact, default_taxonomy, ontology, query_class
+from .qualify import QualificationScheme
 
 
 class FatigueLevel(IntEnum):
@@ -51,13 +52,6 @@ class FatigueLevel(IntEnum):
         return self.name.capitalize()
 
 
-# Verdict-class stem -> report source name. Stems not listed report as
-# themselves, which keeps the reader open to user-defined verdict families.
-SOURCE_ALIASES = {
-    "SteeringWheelMeasurmentFatigue": "SteeringWheel",
-    "YawAngleMeasurmentFatigue": "YawAngle",
-}
-
 _LEVEL_CLASS_RE = re.compile(r"^(?P<stem>\w*Fatigue)_(?P<level>Low|Medium|High)$")
 
 
@@ -66,7 +60,8 @@ def level_class_parts(cls: str) -> tuple[str, FatigueLevel] | None:
     m = _LEVEL_CLASS_RE.match(cls)
     if not m:
         return None
-    source = SOURCE_ALIASES.get(m.group("stem"), m.group("stem"))
+    # stems the ontology does not rename report as themselves
+    source = ontology().source_names.get(m.group("stem"), m.group("stem"))
     return source, FatigueLevel.from_name(m.group("level"))
 
 
@@ -264,6 +259,17 @@ def load_stock_pack(variant: str = "corrected", taxonomy: Taxonomy | None = None
     return parse_rules(text, taxonomy)
 
 
+def dead_conditions(pack: RulePack, scheme: QualificationScheme) -> list[tuple[str, str]]:
+    """(rule, class) for each instance() or exists() class of a rule that no
+    band label of the scheme, ontology anchor class or conclusion of the
+    pack falls under: nothing can produce it, so the rule never fires."""
+    taxonomy = default_taxonomy(scheme)
+    produced = {*ontology().anchors.values(), *(r.conclusion_class for r in pack.rules),
+                *(label for labels in scheme.all_labels().values() for label in labels)}
+    return [(r.name, c) for r in pack.rules for c in dict.fromkeys((r.anchor_class, *r.conditions))
+            if taxonomy.descendants(c).isdisjoint(produced)]
+
+
 # ---------------------------------------------------------------------------
 # Inference
 
@@ -337,33 +343,23 @@ def read_fatigue(fb: FactBase) -> dict[str, FatigueLevel]:
 def _nearest_level_classes(taxonomy: Taxonomy, cls: str
                            ) -> frozenset[tuple[str, FatigueLevel]]:
     """Per-level verdict classes reachable from cls, keeping only the
-    nearest one per source (breadth-first distance)."""
-    found: dict[str, tuple[int, set[FatigueLevel]]] = {}
-    frontier = [cls]
-    depth = 0
-    seen = {cls}
+    nearest ones per source (breadth-first distance)."""
+    found: dict[str, set[FatigueLevel]] = {}
+    frontier, seen = [cls], {cls}
     while frontier:
-        for c in frontier:
-            parts = level_class_parts(c)
-            if parts is None:
-                continue
-            source, level = parts
-            if source in found and found[source][0] < depth:
-                continue
-            if source in found and found[source][0] == depth:
-                found[source][1].add(level)
-            else:
-                found[source] = (depth, {level})
+        here: dict[str, set[FatigueLevel]] = {}  # sources first met at this distance
         next_frontier = []
         for c in frontier:
+            parts = level_class_parts(c)
+            if parts is not None and parts[0] not in found:
+                here.setdefault(parts[0], set()).add(parts[1])
             for p in taxonomy.parents.get(c, ()):
                 if p not in seen:
                     seen.add(p)
                     next_frontier.append(p)
+        found.update(here)
         frontier = next_frontier
-        depth += 1
-    return frozenset((source, level)
-                     for source, (_, levels) in found.items() for level in levels)
+    return frozenset((source, level) for source, levels in found.items() for level in levels)
 
 
 # ---------------------------------------------------------------------------

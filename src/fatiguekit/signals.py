@@ -458,8 +458,8 @@ def _parse_jsonl(text: str) -> Trace:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DecodeError(f"bad JSON: {e.msg}", row=row) from None
+            except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
+                raise DecodeError(f"bad JSON: {getattr(e, 'msg', e)}", row=row) from None
             if not isinstance(obj, dict):
                 raise DecodeError("each line must be a JSON object", row=row)
             record = {}

@@ -270,8 +270,8 @@ def parse_jsonl_rowwise(text: str) -> list[SignalFrame]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DecodeError(f"bad JSON: {e.msg}", row=line_idx) from None
+        except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
+            raise DecodeError(f"bad JSON: {getattr(e, 'msg', e)}", row=line_idx) from None
         if not isinstance(obj, dict):
             raise DecodeError("each line must be a JSON object", row=line_idx)
         record = {}

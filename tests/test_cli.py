@@ -159,6 +159,32 @@ class TestRulesCheck:
             assert main(["rules", "check", str(STOCK_PACK_DIR / name)]) == 0
             assert capsys.readouterr().out.strip() == "6 rules OK"
 
+    @pytest.mark.parametrize("name, dead", [
+        # the corrected yaw rules need MeanYaw_*, which no scheme band produces
+        ("table1_corrected.rules", [("yaw_medium", "MeanYaw_Large"),
+                                    ("yaw_low", "MeanYaw_Small"),
+                                    ("yaw_high", "MeanYaw_Small")]),
+        ("table1_verbatim.rules", []),
+    ])
+    def test_stock_packs_dead_rules_warned(self, capsys, name, dead):
+        assert main(["rules", "check", str(STOCK_PACK_DIR / name)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: rule {rule!r} never fires: nothing produces {cls} or a subclass"
+                       for rule, cls in dead]
+
+    def test_anchor_class_nothing_produces(self, tmp_path, capsys):
+        # no band label falls under MeanYaw's subclasses; MeanSWA's labels do
+        pack = tmp_path / "p.rules"
+        pack.write_text("rule r1: when instance(?x, MeanYaw), exists(SWA_Small) "
+                        "then classify(?x, SteeringWheelMeasurmentFatigue_Low)\n"
+                        "rule r2: when instance(?x, SteeringWheelMeasurementFatigue), "
+                        "exists(MeanSWA) then classify(?x, SteeringWheelMeasurmentFatigue_Low)\n")
+        assert main(["rules", "check", str(pack)]) == 0
+        out, err = capsys.readouterr()
+        assert out.strip() == "2 rules OK"
+        assert err.splitlines() == [
+            "warning: rule 'r1' never fires: nothing produces MeanYaw or a subclass"]
+
     def test_broken_pack(self, tmp_path, capsys):
         bad = tmp_path / "bad.rules"
         bad.write_text("rule r1: when instance(?x, NoSuchClass) "
@@ -229,6 +255,8 @@ DUMP = ["snapshot", "dump", "snap.json"]
                  id="snapshot-class-numbers"),
     pytest.param(["run", "t.jsonl"], {"t.jsonl": b'{"t": 0.0, "swa": 1' + b"0" * 400 + b"}"},
                  "value for 'swa' must be finite", id="jsonl-integer-past-float64"),
+    pytest.param(["run", "t.jsonl"], {"t.jsonl": b'{"t": 0.0, "swa": 1' + b"0" * 5000 + b"}"},
+                 "bad JSON", id="jsonl-integer-past-digit-limit"),
     pytest.param(RUN, {"c.json": {"scheme_path": "s.json"}, "s.json": {"mean_swa_abs": [
         {"label": "MeanSWA_Small", "lower": 0.0, "upper": 6.0},
         {"label": "MeanSWA_Large", "lower": 6.0, "upper": float("nan")},

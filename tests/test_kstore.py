@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatiguekit import (
+    FEATURE_NAMES,
     ArgumentError,
     DecodeError,
     FactBase,
@@ -19,10 +23,12 @@ from fatiguekit import (
     assert_fact,
     assert_value,
     default_taxonomy,
+    load_scheme,
     load_snapshot,
     query_class,
     save_snapshot,
 )
+from fatiguekit.kstore import _decode_ontology, _decode_taxonomy, ontology
 
 DIAMOND = Taxonomy(
     classes=frozenset({"Top", "LeftMid", "RightMid", "Bottom", "Stray"}),
@@ -295,6 +301,77 @@ class TestDefaultTaxonomy:
         tax = default_taxonomy()
         for root in ("Vehicle_Measure", "Physical_Measure", "Physiological_Measure"):
             assert root in tax.classes
+
+    # sha256 of the rendered taxonomy, recorded while the structural classes,
+    # families and anchors were still Python tables: reading them from
+    # data/ontology.json must give the same classes and edges
+    RENAMED_SWA = {"mean_swa_abs": [
+        {"label": "SwaMean_Low", "lower": 0.0, "upper": 8.0},
+        {"label": "SwaMean_High", "lower": 8.0, "upper": None}]}
+    BPM_BY_SEX = {"mean_bpm": {"by_sex": {
+        "female": [{"label": "HeartRate_Slow", "lower": None, "upper": 60.0},
+                   {"label": "HeartRate_Usual", "lower": 60.0, "upper": None}],
+        "male": [{"label": "HeartRate_Slow", "lower": None, "upper": 55.0},
+                 {"label": "BPM_Normal", "lower": 55.0, "upper": None}]}}}
+
+    @pytest.mark.parametrize("config, digest", [
+        (None, "cf376e7f870c43e05a046148d001c07146dbaa160b62c4fd0e67a91514ae227c"),
+        (RENAMED_SWA, "5cb75f6909d6e0fecce0bfd40870c7d7c193ad6ee4a2386b4d5cc0e79e76d417"),
+        (BPM_BY_SEX, "b6daad1e50fab27ebd4c583893dc0951da9d4aafc01dad823ab06f6a766ac574"),
+    ], ids=["default", "renamed-mean-swa", "bpm-by-sex"])
+    def test_taxonomy_text_unchanged(self, config, digest):
+        scheme = load_scheme(None if config is None else json.dumps(config))
+        text = default_taxonomy(scheme)._snapshot_text
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+ONTOLOGY_TEXT = (resources.files("fatiguekit") / "data/ontology.json").read_text("utf-8")
+
+
+def edited_ontology(edit) -> str:
+    """The shipped ontology document after edit(doc) changed it in place."""
+    doc = json.loads(ONTOLOGY_TEXT)
+    edit(doc)
+    return json.dumps(doc)
+
+
+class TestOntology:
+    def test_shipped_document_is_what_the_store_knows(self):
+        onto = ontology()
+        assert onto is ontology()  # read once per process
+        assert onto == _decode_ontology(ONTOLOGY_TEXT)
+        assert set(onto.feature_families) == set(FEATURE_NAMES)
+        assert onto.anchors == {"steering": "SteeringWheelMeasurementFatigue",
+                                "yaw": "YawAngleMeasurementFatigue"}
+        assert onto.taxonomy.classes <= default_taxonomy().classes
+
+    def test_taxonomy_decoder_shared_with_snapshots(self):
+        doc = json.loads(ONTOLOGY_TEXT)
+        assert _decode_taxonomy(doc, "ontology") == ontology().taxonomy
+        snap = KnowledgeSnapshot(factbase=FactBase(taxonomy=ontology().taxonomy))
+        assert load_snapshot(save_snapshot(snap)).factbase.taxonomy == ontology().taxonomy
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["taxonomy"]["subclass_of"].update(Vehicle_Measure=["MeanSWA"]),
+         "taxonomy invalid: subclass cycle: "),
+        (lambda d: d["taxonomy"]["subclass_of"].update(MeanSWA=["NoSuchParent"]),
+         "taxonomy invalid: unknown class 'NoSuchParent'"),
+        (lambda d: d["feature_families"].update(mean_bpm="NoSuchFamily"),
+         "feature_families.mean_bpm names unknown class 'NoSuchFamily'"),
+        (lambda d: d["anchors"].update(eyes="NoSuchAnchor"),
+         "anchors.eyes names unknown class 'NoSuchAnchor'"),
+        (lambda d: d["feature_families"].pop("gaze_persac"), "gaze_persac"),
+        (lambda d: d["feature_families"].update(pulse="BPM"), "pulse"),
+        (lambda d: d["source_names"].update(X=3), "source_names.X"),
+        (lambda d: d.pop("anchors"), "missing 'anchors'"),
+    ], ids=["cycle", "unknown-parent", "unknown-family", "unknown-anchor",
+            "feature-without-family", "family-of-no-feature", "source-name-number",
+            "no-anchors"])
+    def test_malformed_document_names_ontology(self, edit, named):
+        text = edited_ontology(edit)
+        with pytest.raises(DecodeError, match=r"^ontology ") as exc:
+            _decode_ontology(text)
+        assert named in str(exc.value)
 
 
 def random_dag(rng) -> tuple[list[str], dict]:

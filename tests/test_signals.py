@@ -309,7 +309,7 @@ CSV_FAULTS = ("text", "nan", "eye", "bpm", "negative_t", "repeated_t",
               "missing_t", "cell_count", "blank_row", "padded")
 JSONL_FAULTS = ("text", "nan", "eye", "bpm", "negative_t", "repeated_t",
                 "missing_t", "unknown_key", "bad_json", "not_object", "bool",
-                "huge_int", "blank_row", "padded")
+                "huge_int", "digit_limit", "blank_row", "padded")
 
 
 @st.composite
@@ -395,6 +395,8 @@ def jsonl_text(rows, injected, sep):
             obj["swa"] = True
         elif kind == "huge_int":
             obj["swa"] = 10 ** 400
+        elif kind == "digit_limit":  # past the digits int() may parse
+            text = json.dumps(obj)[:-1] + ', "swa": 1' + "0" * 5000 + "}"
         elif kind == "blank_row":
             extra.append((i, " \t"))
             continue
