@@ -19,12 +19,12 @@ def main() -> None:
     spec = ScenarioSpec(duration=480.0, seed=11, segments=(
         Segment(0.0, 240.0, "alert"),
         Segment(240.0, 480.0, "drowsy")))
-    frames = generate_scenario(spec)
+    trace = generate_scenario(spec)
 
-    print(f"trace: {len(frames)} frames spanning "
-          f"{frames[0].t:.1f}–{frames[-1].t:.1f} s")
+    print(f"trace: {len(trace)} frames spanning "
+          f"{trace.t[0]:.1f}–{trace.t[-1]:.1f} s")
 
-    windows = make_windows(frames, length=60.0, stride=30.0)
+    windows = make_windows(trace, length=60.0, stride=30.0)
     print(f"windows: {len(windows)} of 60 s every 30 s\n")
 
     header = f"{'start':>6} {'mean|swa|':>10} {'corr/min':>9} {'apen':>7} " \

@@ -23,14 +23,14 @@ def main() -> None:
     spec = ScenarioSpec(duration=720.0, seed=3, segments=(
         Segment(0.0, 300.0, "alert"),
         Segment(300.0, 720.0, "drowsy")))
-    frames = generate_scenario(spec)
-    print(f"trace: {len(frames)} frames, alert for 5 min, weaving for 7 min")
+    trace = generate_scenario(spec)
+    print(f"trace: {len(trace)} frames, alert for 5 min, weaving for 7 min")
 
     snapshot_dir = Path(tempfile.mkdtemp(prefix="fatiguekit-demo-"))
     cfg = load_config(json.dumps({"snapshot_every_windows": 12}),
                       snapshot_dir_override=str(snapshot_dir),
                       trace_id="demo-drive")
-    report = run(frames, cfg)
+    report = run(trace, cfg)
 
     print(f"windows: {len(report.records)}\n")
     print("timeline (one character per 10 s window; "

@@ -39,7 +39,7 @@ def _trace_format(path: Path) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     fmt = _trace_format(trace_path)
-    frames = parse_trace(trace_path.read_bytes(), fmt)
+    trace = parse_trace(trace_path.read_bytes(), fmt)
 
     config_data = None
     base_dir = None
@@ -55,7 +55,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_id=trace_path.stem,
     )
 
-    report = run(frames, cfg)
+    report = run(trace, cfg)
     payload = report.to_jsonl()
     if args.out is not None:
         Path(args.out).write_bytes(payload)
@@ -69,17 +69,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_scenario_spec(Path(args.spec).read_bytes())
-    frames = generate_scenario(spec)
+    trace = generate_scenario(spec)
     out_path = Path(args.out)
     fmt = _trace_format(out_path)
-    out_path.write_bytes(serialize_trace(frames, fmt))
-    print(f"wrote {len(frames)} frames to {out_path}", file=sys.stderr)
+    out_path.write_bytes(serialize_trace(trace, fmt))
+    print(f"wrote {len(trace)} frames to {out_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_rules_check(args: argparse.Namespace) -> int:
-    pack = parse_rules(Path(args.pack).read_bytes(), default_taxonomy())
-    for rule, cls in dead_conditions(pack, default_scheme()):
+    taxonomy = default_taxonomy()
+    pack = parse_rules(Path(args.pack).read_bytes(), taxonomy)
+    for rule, cls in dead_conditions(pack, default_scheme(), taxonomy):
         print(f"warning: rule {rule!r} never fires: nothing produces {cls} or a subclass",
               file=sys.stderr)
     print(f"{len(pack.rules)} rules OK")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -28,7 +27,7 @@ from .features import (
     closed_fraction,
     extract_features,
 )
-from .kstore import FactBase, KnowledgeSnapshot, default_taxonomy, ontology, save_snapshot
+from .kstore import FactBase, KnowledgeSnapshot, Taxonomy, default_taxonomy, ontology, save_snapshot
 from .kstore import assert_fact, assert_value  # noqa: F401  patched by perfbench's tracer
 from .qualify import QualificationScheme, QualifiedFact, load_scheme, qualify
 from .rules import (
@@ -42,7 +41,7 @@ from .rules import (
     parse_rules,
     read_fatigue,
 )
-from .signals import DriverProfile, SignalFrame, Trace, Window, make_windows
+from .signals import DriverProfile, Trace, Window, make_windows
 
 @dataclass(frozen=True)
 class AlertPolicy:
@@ -65,6 +64,7 @@ class PipelineConfig:
     window_stride_s: float
     perclos_window_s: float
     scheme: QualificationScheme
+    taxonomy: Taxonomy  # derived: the scheme's taxonomy, which rule_pack was checked against
     rule_pack: RulePack
     weights: FusionWeights
     fusion_cutoffs: tuple[float, float]
@@ -159,6 +159,7 @@ def load_config(data: bytes | str | None = None, *,
         window_stride_s=_inputs.number(obj["window_stride_s"], "config window_stride_s"),
         perclos_window_s=_inputs.number(obj["perclos_window_s"], "config perclos_window_s"),
         scheme=scheme,
+        taxonomy=taxonomy,
         rule_pack=pack,
         weights=FusionWeights(weights={k: _inputs.number(v, f"config fusion_weights.{k}")
                                        for k, v in weights.items()}),
@@ -259,7 +260,7 @@ def _latest_elapsed(ends: list[float], values: list[float], end_t: float) -> flo
     return values[i - 1] if i else None
 
 
-def run(frames: Sequence[SignalFrame], cfg: PipelineConfig | None = None) -> FatigueReport:
+def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     """Process a whole trace.
 
     The eyelid-closure fraction is computed over its own longer sliding
@@ -271,10 +272,8 @@ def run(frames: Sequence[SignalFrame], cfg: PipelineConfig | None = None) -> Fat
     """
     if cfg is None:
         cfg = load_config()
-    trace = Trace.from_frames(frames)
     windows = make_windows(trace, cfg.window_length_s, cfg.window_stride_s)
     perclos_ends, perclos_values = _perclos_by_window_end(trace, cfg)
-    taxonomy = default_taxonomy(cfg.scheme)
     anchors = ontology().anchors
 
     records: list[WindowRecord] = []
@@ -294,7 +293,7 @@ def run(frames: Sequence[SignalFrame], cfg: PipelineConfig | None = None) -> Fat
         for fact in facts:
             members.add((fact.individual, fact.class_label))
             values[fact.individual, f"has_{fact.source_feature}"] = fact.value
-        fb = FactBase(taxonomy=taxonomy, memberships=frozenset(members),
+        fb = FactBase(taxonomy=cfg.taxonomy, memberships=frozenset(members),
                       data_properties=frozenset((i, p, v) for (i, p), v in values.items()),
                       timestamp=w.end_t)
 

@@ -259,11 +259,12 @@ def load_stock_pack(variant: str = "corrected", taxonomy: Taxonomy | None = None
     return parse_rules(text, taxonomy)
 
 
-def dead_conditions(pack: RulePack, scheme: QualificationScheme) -> list[tuple[str, str]]:
+def dead_conditions(pack: RulePack, scheme: QualificationScheme,
+                    taxonomy: Taxonomy) -> list[tuple[str, str]]:
     """(rule, class) for each instance() or exists() class of a rule that no
     band label of the scheme, ontology anchor class or conclusion of the
-    pack falls under: nothing can produce it, so the rule never fires."""
-    taxonomy = default_taxonomy(scheme)
+    pack falls under: nothing can produce it, so the rule never fires.
+    `taxonomy` is the scheme's, as `default_taxonomy(scheme)` builds it."""
     produced = {*ontology().anchors.values(), *(r.conclusion_class for r in pack.rules),
                 *(label for labels in scheme.all_labels().values() for label in labels)}
     return [(r.name, c) for r in pack.rules for c in dict.fromkeys((r.anchor_class, *r.conditions))

@@ -8,8 +8,10 @@ steering, tightly bounded yaw, brief blinks and a normal heart rate. A
 second-difference spikes, long eyelid closures driving the closure
 fraction past 0.4, yawns, and a heart rate in the drowsy band.
 
-Same spec, same frames, every run: all randomness comes from generators
-seeded by (spec.seed, segment index).
+The output is a `Trace` built straight from each segment's channel
+arrays; no per-sample Python object is made. Same spec, same trace, every
+run: all randomness comes from generators seeded by (spec.seed, segment
+index).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import _inputs
 from .errors import ScenarioSpecError
-from .signals import SignalFrame
+from .signals import CHANNELS, Trace, _readonly
 
 REGIMES = ("alert", "drowsy")
 
@@ -217,32 +219,32 @@ def _drowsy_channels(tau: np.ndarray, rate: float, rng) -> dict[str, np.ndarray]
             "gaze_offset": gaze}
 
 
-def generate_scenario(spec: ScenarioSpec) -> list[SignalFrame]:
+def generate_scenario(spec: ScenarioSpec) -> Trace:
     """Synthesise the trace described by spec.
 
     Frames sit on the global grid k / sample_rate restricted to the
-    segments; gaps between segments emit nothing. The output is a valid
-    trace: strictly increasing t, all channel invariants satisfied.
+    segments; gaps between segments emit nothing. A segment that starts
+    within the 1e-9 s overlap the spec allows resumes the grid after the
+    previous segment's last frame. Every channel is sampled in every frame.
+    The output is a valid trace: strictly increasing t, all channel
+    invariants satisfied.
     """
-    frames: list[SignalFrame] = []
+    rate = spec.sample_rate
+    parts = []  # (times, channels) of each segment that holds a frame
+    next_k = 0
     for index, seg in enumerate(spec.segments):
         rng = np.random.default_rng([spec.seed & 0xFFFFFFFF, index])
-        k0 = int(np.ceil(seg.start * spec.sample_rate - 1e-9))
-        ks = []
-        k = k0
-        while k / spec.sample_rate < seg.end - 1e-12:
-            ks.append(k)
-            k += 1
-        t = np.array([k / spec.sample_rate for k in ks])
+        k0 = max(int(np.ceil(seg.start * rate - 1e-9)), next_k)
+        t = np.arange(k0, int(np.ceil(seg.end * rate)) + 1) / rate
+        t = t[t < seg.end - 1e-12]
         if len(t) == 0:
             continue
-        tau = t - seg.start
+        next_k = k0 + len(t)
         synth = _alert_channels if seg.regime == "alert" else _drowsy_channels
-        channels = synth(tau, spec.sample_rate, rng)
+        channels = synth(t - seg.start, rate, rng)
         channels["eye_closure"] = np.clip(channels["eye_closure"], 0.0, 1.0)
         channels["mouth_open"] = np.clip(channels["mouth_open"], 0.0, None)
-        for i, ti in enumerate(t):
-            frames.append(SignalFrame(
-                t=float(ti),
-                **{name: float(vals[i]) for name, vals in channels.items()}))
-    return frames
+        parts.append((t, channels))
+    t = _readonly(np.concatenate([np.empty(0), *(t for t, _ in parts)]))
+    return Trace(t, {name: (t, _readonly(np.concatenate([c[name] for _, c in parts])))
+                     for name in CHANNELS if parts})

@@ -8,8 +8,11 @@ line, absent key = absent channel).
 
 In memory a trace is a `Trace`: the frame times plus, for each channel
 sampled somewhere, the times and values of its samples, as read-only
-float64 arrays checked once with vectorised tests. `SignalFrame` is the
-per-instant view used to build and serialise traces.
+float64 arrays checked once with vectorised tests. It is the one trace
+type that moves between stages: `parse_trace` and `generate_scenario` make
+one, and `make_windows`, `Window`, `run` and `serialize_trace` read one.
+`SignalFrame` is the row record: parse errors check a faulty row as one,
+and `Trace.from_frames` is the adapter for callers that hold frames.
 
 Windows are half-open ``[start_t, end_t)`` slices of a trace. All downstream
 feature extraction works on windows, never on whole traces.
@@ -21,9 +24,8 @@ import csv
 import io
 import json
 import math
-import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -56,7 +58,7 @@ CHANNELS = (
 
 @dataclass(frozen=True, slots=True)
 class SignalFrame:
-    """One sampling instant. Channels not sampled are None."""
+    """One sampling instant, the row record. Channels not sampled are None."""
 
     t: float
     swa: float | None = None
@@ -103,14 +105,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 _EMPTY = _readonly(np.empty(0))
 
 
-class Trace(Sequence):
+class Trace:
     """A valid trace held column by column.
 
     `t` is every frame's time, strictly increasing. `channel(name)` gives the
     times and values of the samples of one channel. All arrays are read-only
-    float64; windows share them. Indexing or iterating builds
-    `SignalFrame`s on demand. Make one with `parse_trace` or `from_frames`;
-    the constructor trusts its arrays.
+    float64; windows share them. Make one with `parse_trace`,
+    `generate_scenario` or `from_frames`; the constructor trusts its arrays.
+    It is not a frame list and cannot be indexed. `len()` counts its frames,
+    as the CLI and the benchmark's tracer do; iterating builds `SignalFrame`s
+    on demand, as the benchmark's trace builder (perfbench/workloads.py) does.
     """
 
     __slots__ = ("t", "_columns")
@@ -139,8 +143,11 @@ class Trace(Sequence):
             # frames hold finite values only, so NaN marks an absent sample
             v = np.array([getattr(f, name) for f in frames], dtype=float)
             present = ~np.isnan(v)
-            if present.any():
-                columns[name] = (_readonly(t[present]), _readonly(v[present]))
+            if not present.any():
+                continue
+            # a channel sampled in every frame shares the frame times
+            columns[name] = (t, _readonly(v)) if present.all() else \
+                (_readonly(t[present]), _readonly(v[present]))
         return cls(_readonly(t), columns)
 
     @property
@@ -164,15 +171,6 @@ class Trace(Sequence):
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, index: int) -> SignalFrame:
-        t = self.t[range(len(self.t))[operator.index(index)]]
-        values = {}
-        for name, (ct, cv) in self._columns.items():
-            j = int(np.searchsorted(ct, t))
-            if j < len(ct) and ct[j] == t:
-                values[name] = float(cv[j])
-        return SignalFrame(t=float(t), **values)
 
     def _rows(self):
         """(t, values) for each frame, values holding one float or None per
@@ -209,8 +207,8 @@ class Window:
 
     Every frame satisfies start_t <= t < end_t. A window knows its nominal
     bounds even when the frames do not reach them; frequencies are always
-    normalised by the nominal length. Frames given as a plain sequence are
-    converted to a `Trace` once.
+    normalised by the nominal length. `frames` is the `Trace` of the frames
+    inside the window; make one from frames with `Trace.from_frames`.
     """
 
     start_t: float
@@ -220,9 +218,7 @@ class Window:
     def __post_init__(self):
         if not self.end_t > self.start_t:
             raise ArgumentError(f"window bounds reversed: [{self.start_t}, {self.end_t})")
-        frames = Trace.from_frames(self.frames)
-        object.__setattr__(self, "frames", frames)
-        t = frames.t
+        t = self.frames.t
         if len(t) and not (self.start_t <= t[0] and t[-1] < self.end_t):
             outside = t[0] if t[0] < self.start_t else t[np.searchsorted(t, self.end_t)]
             raise ArgumentError(
@@ -501,20 +497,18 @@ def parse_trace(data: bytes | str, format: str = "csv") -> Trace:
     raise ArgumentError(f"unknown trace format {format!r}")
 
 
-def serialize_trace(frames: Sequence[SignalFrame], format: str = "csv") -> bytes:
-    """Encode frames so that parse_trace(serialize_trace(f)) == f.
+def serialize_trace(trace: Trace | Iterable[SignalFrame], format: str = "csv") -> bytes:
+    """Encode a trace so that parse_trace(serialize_trace(trace)) == trace.
 
     CSV output includes only the channels present somewhere in the trace,
-    in canonical column order. A plain frame list is read as it is, not
-    converted to a Trace first, so nothing per frame is copied.
+    in canonical column order. Every value is written as a float. Frames
+    are read through `Trace.from_frames`, so there is one writer; that input
+    stays because the benchmark's trace builder passes a frame list.
     """
     if format not in ("csv", "jsonl"):
         raise ArgumentError(f"unknown trace format {format!r}")
-    if isinstance(frames, Trace):
-        names, rows = frames.channels, frames._rows()
-    else:
-        names = [c for c in CHANNELS if any(getattr(f, c) is not None for f in frames)]
-        rows = ((f.t, [getattr(f, c) for c in names]) for f in frames)
+    trace = Trace.from_frames(trace)
+    names, rows = trace.channels, trace._rows()
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -530,7 +524,7 @@ def serialize_trace(frames: Sequence[SignalFrame], format: str = "csv") -> bytes
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def make_windows(frames: Sequence[SignalFrame], length: float, stride: float) -> list[Window]:
+def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     """Slice a trace into half-open windows.
 
     Window k spans [k * stride, k * stride + length) and exists while it
@@ -546,7 +540,6 @@ def make_windows(frames: Sequence[SignalFrame], length: float, stride: float) ->
         raise ArgumentError(f"window length must be positive, got {length}")
     if stride <= 0:
         raise ArgumentError(f"window stride must be positive, got {stride}")
-    trace = Trace.from_frames(frames)
     t = trace.t
     if len(t) < 2:
         return []

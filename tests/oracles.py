@@ -154,6 +154,59 @@ def windows_oracle(times, length: float, stride: float) -> list[tuple]:
     return out
 
 
+def generate_scenario_frames(spec) -> list[SignalFrame]:
+    """The scenario's trace as frames, walked one sample at a time.
+
+    The package's former generator, kept as the reference for the columnar
+    one: a Python loop steps k over each segment's grid k / sample_rate
+    until it reaches the segment's end, and each sample becomes one checked
+    SignalFrame. A segment resumes the grid after the previous segment's
+    last k, so segments that overlap by the spec's 1e-9 s tolerance do not
+    repeat a frame. The channel synthesis is the package's own.
+    """
+    from fatiguekit.scenario import _alert_channels, _drowsy_channels
+
+    frames: list[SignalFrame] = []
+    next_k = 0
+    for index, seg in enumerate(spec.segments):
+        rng = np.random.default_rng([spec.seed & 0xFFFFFFFF, index])
+        ks = []
+        k = max(int(np.ceil(seg.start * spec.sample_rate - 1e-9)), next_k)
+        while k / spec.sample_rate < seg.end - 1e-12:
+            ks.append(k)
+            k += 1
+        t = np.array([k / spec.sample_rate for k in ks])
+        if len(t) == 0:
+            continue
+        next_k = ks[-1] + 1
+        synth = _alert_channels if seg.regime == "alert" else _drowsy_channels
+        channels = synth(t - seg.start, spec.sample_rate, rng)
+        channels["eye_closure"] = np.clip(channels["eye_closure"], 0.0, 1.0)
+        channels["mouth_open"] = np.clip(channels["mouth_open"], 0.0, None)
+        for i, ti in enumerate(t):
+            frames.append(SignalFrame(
+                t=float(ti), **{name: float(vals[i]) for name, vals in channels.items()}))
+    return frames
+
+
+def serialize_frames(frames, format: str) -> bytes:
+    """Frames written row by row, reading each frame's attributes: the
+    package's former frame-list writer, the reference for the columnar one."""
+    names = [c for c in CHANNELS if any(getattr(f, c) is not None for f in frames)]
+    if format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["t", *names])
+        for f in frames:
+            writer.writerow([repr(f.t), *("" if getattr(f, c) is None else repr(getattr(f, c))
+                                          for c in names)])
+        return out.getvalue().encode("utf-8")
+    lines = [json.dumps({"t": f.t, **{c: getattr(f, c) for c in names
+                                      if getattr(f, c) is not None}}, sort_keys=True)
+             for f in frames]
+    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+
+
 def reachable_oracle(parents: dict, start: str) -> set:
     """All ancestors of start (inclusive) by straightforward recursion."""
     seen = set()

@@ -43,7 +43,7 @@ from fatiguekit import (
     save_snapshot,
 )
 from fatiguekit.cli import main as cli_main
-from fatiguekit.signals import SignalFrame
+from fatiguekit.signals import SignalFrame, Trace
 
 from oracles import apen_oracle, chaining_oracle
 
@@ -196,7 +196,7 @@ def test_criterion_3_apen_oracle_equivalence():
 def _closure_window(times, closures):
     frames = tuple(SignalFrame(t=t, eye_closure=c)
                    for t, c in zip(times, closures))
-    return Window(start_t=times[0], end_t=times[-1] + 1e-6, frames=frames)
+    return Window(start_t=times[0], end_t=times[-1] + 1e-6, frames=Trace.from_frames(frames))
 
 
 def test_criterion_4_perclos_and_blinks():

@@ -14,6 +14,7 @@ from fatiguekit import (
     InsufficientDataError,
     MissingChannelError,
     SignalFrame,
+    Trace,
     Window,
     count_upcrossings,
     extract_features,
@@ -40,7 +41,7 @@ def window_of(values_by_channel: dict, dt: float = 1.0, t0: float = 0.0,
                     if i < len(vals)}
         frames.append(SignalFrame(t=t0 + i * dt, **channels))
     end = t0 + (length if length is not None else n * dt)
-    return Window(start_t=t0, end_t=end, frames=tuple(frames))
+    return Window(start_t=t0, end_t=end, frames=Trace.from_frames(frames))
 
 
 class TestSwaFeatures:
@@ -209,7 +210,8 @@ def window_at(times, channel: str, values) -> Window:
     one second after the last sample."""
     frames = tuple(SignalFrame(t=float(t), **{channel: float(v)})
                    for t, v in zip(times, values))
-    return Window(start_t=frames[0].t, end_t=frames[-1].t + 1.0, frames=frames)
+    return Window(start_t=frames[0].t, end_t=frames[-1].t + 1.0,
+                  frames=Trace.from_frames(frames))
 
 
 @st.composite
@@ -463,7 +465,7 @@ class TestMergeAndExtract:
 
     def test_extract_empty_channels(self):
         w = Window(start_t=0.0, end_t=10.0,
-                   frames=(SignalFrame(t=0.0), SignalFrame(t=1.0)))
+                   frames=Trace.from_frames((SignalFrame(t=0.0), SignalFrame(t=1.0))))
         fv, notes = extract_features(w)
         assert fv.to_dict() == {"window_start": 0.0, "window_end": 10.0}
         assert len(notes) == 8  # every extractor family reports its gap

@@ -216,7 +216,7 @@ def run_scenario(regime, duration=600.0, seed=0, cfg=None):
 
 class TestRunEndToEnd:
     def test_empty_trace(self):
-        report = run([], None)
+        report = run(Trace.from_frames([]), None)
         assert report.records == ()
         assert report.to_jsonl() == b""
 
@@ -286,7 +286,7 @@ class TestRunEndToEnd:
                         "lane_offset", "mouth_open", "head_pitch", "gaze_offset",
                         "speed"):
             stripped = [dataclasses.replace(f, **{channel: None}) for f in frames]
-            report = run(stripped, None)
+            report = run(Trace.from_frames(stripped), None)
             assert len(report.records) > 0
 
     def test_time_only_trace_degrades_gracefully(self):
@@ -296,7 +296,7 @@ class TestRunEndToEnd:
                   "eye_closure", "mouth_open", "head_pitch", "heart_bpm",
                   "gaze_offset")}
         bare = [dataclasses.replace(f, **blank) for f in frames]
-        report = run(bare, None)
+        report = run(Trace.from_frames(bare), None)
         assert report.records
         for r in report.records:
             assert r.overall is None
@@ -439,6 +439,18 @@ class TestKnowledgeLayerPerWindow:
         fired = sum(len(r.fired_rules) for r in report.records)
         assert fired > 0
         assert len(built) == len(report.records) + fired
+
+    def test_run_reuses_the_config_taxonomy(self, monkeypatch):
+        from fatiguekit import pipeline
+
+        def rebuilt(scheme=None):
+            raise AssertionError("run rebuilt the taxonomy")
+        cfg = load_config()
+        trace = generate_scenario(simple_spec("drowsy", duration=90.0))
+        monkeypatch.setattr(pipeline, "default_taxonomy", rebuilt)
+        first = run(trace, cfg)
+        assert run(trace, cfg).to_jsonl() == first.to_jsonl()
+        assert any(r.fired_rules for r in first.records)
 
     def test_benchmark_tracer_patch_points_resolve(self):
         # perfbench's tracer wraps pipeline, rules and kstore names by

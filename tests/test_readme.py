@@ -15,10 +15,10 @@ def python_blocks(section: str) -> list[str]:
 
 
 def test_library_quick_start(capsys):
-    # the scenario run, then the extractor call on its frames; the block
+    # the scenario run, then the extractor call on its trace; the block
     # after them reads a file the reader supplies
     run_block, extractor_block = python_blocks("Quick start: library")[:2]
-    assert "generate_scenario" in run_block and "run(frames)" in run_block
+    assert "generate_scenario" in run_block and "run(trace)" in run_block
     assert "FeatureParams(" in extractor_block
     namespace: dict = {}
     for block in (run_block, extractor_block):

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatiguekit import (
     CHANNELS,
     ScenarioSpecError,
     Segment,
     ScenarioSpec,
+    Trace,
     Window,
     eye_features,
     generate_scenario,
@@ -15,12 +22,12 @@ from fatiguekit import (
     serialize_trace,
     simple_spec,
 )
-from oracles import upcross_oracle
+from oracles import generate_scenario_frames, serialize_frames, upcross_oracle
 
 
 def as_window(frames):
-    end = frames[-1].t + 1e-6
-    return Window(start_t=frames[0].t, end_t=end, frames=tuple(frames))
+    end = frames.t[-1] + 1e-6
+    return Window(start_t=frames.t[0], end_t=end, frames=frames)
 
 
 class TestSpecParsing:
@@ -76,12 +83,12 @@ class TestGeneratorBasics:
     def test_sampling_grid(self):
         frames = generate_scenario(simple_spec("alert", duration=60.0))
         assert len(frames) == 600
-        assert frames[0].t == 0.0
-        assert abs(frames[-1].t - 59.9) < 1e-9
+        assert frames.t[0] == 0.0
+        assert abs(frames.t[-1] - 59.9) < 1e-9
 
     def test_all_channels_dense(self):
         frames = generate_scenario(simple_spec("drowsy", duration=30.0))
-        for f in frames[:50]:
+        for f in list(frames)[:50]:
             for c in CHANNELS:
                 assert getattr(f, c) is not None
 
@@ -110,6 +117,67 @@ class TestGeneratorBasics:
         first = [f.swa for f in frames if f.t < 20.0]
         second = [f.swa for f in frames if f.t >= 20.0]
         assert first != second
+
+
+@st.composite
+def scenario_specs(draw):
+    """Specs of up to three segments, at most about 1 500 samples long."""
+    rate = draw(st.one_of(st.sampled_from([1 / 3, 0.5, 7.3, 10.0, 100.0, 200.0]),
+                          st.floats(0.5, 200.0)))
+    top = min(60.0, 1500.0 / rate)
+    # bounds on a 0.1 s grid (at 100 Hz, 1.1 * 100 rounds above 110) or anywhere
+    bound = st.one_of(st.integers(0, int(top * 10)).map(lambda k: k / 10),
+                      st.floats(0.0, top))
+    points = sorted(draw(st.lists(bound, max_size=6, unique=True)))
+    if draw(st.booleans()):  # touching segments
+        pairs = zip(points, points[1:4])
+    else:  # a gap between segments
+        pairs = zip(points[::2], points[1::2])
+    regimes = st.sampled_from(["alert", "drowsy"])
+    segments = tuple(Segment(a, b, draw(regimes)) for a, b in pairs)
+    return ScenarioSpec(duration=max([1.0, *points]), sample_rate=rate,
+                        seed=draw(st.integers(0, 2**32)), segments=segments)
+
+
+NEAR_OVERLAP = ScenarioSpec(duration=3.0, segments=(
+    Segment(0.0, 1.0 + 5e-10, "alert"), Segment(1.0 - 4e-10, 2.0, "drowsy")))
+
+
+class TestColumnarGenerator:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_specs())
+    @example(ScenarioSpec(duration=10.0))
+    @example(ScenarioSpec(duration=3.0, sample_rate=100.0, seed=4, segments=(
+        Segment(0.0, 1.0, "alert"), Segment(1.1, 2.35, "drowsy"))))
+    @example(NEAR_OVERLAP)
+    def test_equals_per_frame_generator(self, spec):
+        trace = generate_scenario(spec)
+        frames = generate_scenario_frames(spec)
+        assert trace == Trace.from_frames(frames)
+        for fmt in ("csv", "jsonl"):
+            assert serialize_trace(trace, fmt) == serialize_frames(frames, fmt)
+
+    def test_near_overlap_repeats_no_frame(self):
+        t = generate_scenario(NEAR_OVERLAP).t
+        assert np.all(np.diff(t) > 0)
+        assert list(t[9:12]) == [0.9, 1.0, 1.1]
+
+    def test_benchmark_trace_builder(self):
+        # perfbench/workloads.py iterates generate_scenario's trace as frames
+        # and passes serialize_trace a frame list; both stay for it
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")])}
+        script = (
+            "from fatiguekit import CHANNELS, parse_trace\n"
+            "from workloads import WORKLOADS, build_trace\n"
+            "for w in WORKLOADS.values():\n"
+            "    trace = parse_trace(build_trace(w, seed=1, small=True), 'csv')\n"
+            "    assert len(trace) > 0, w.name\n"
+            "    assert trace.channels == tuple(c for c in CHANNELS if c in w.keep_every)\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAlertRegime:

@@ -71,7 +71,7 @@ class TestSignalFrame:
 
 class TestParseTrace:
     def test_csv_two_frames(self):
-        frames = parse_trace(b"t,swa\n0.0,1.5\n0.1,2.0", "csv")
+        frames = list(parse_trace(b"t,swa\n0.0,1.5\n0.1,2.0", "csv"))
         assert len(frames) == 2
         assert frames[0].swa == 1.5
         assert frames[1].swa == 2.0
@@ -91,7 +91,7 @@ class TestParseTrace:
         assert exc.value.row == 2
 
     def test_csv_empty_cell_means_absent(self):
-        frames = parse_trace(b"t,swa,yaw\n0.0,1.0,\n0.1,,0.5", "csv")
+        frames = list(parse_trace(b"t,swa,yaw\n0.0,1.0,\n0.1,,0.5", "csv"))
         assert frames[0].yaw is None
         assert frames[1].swa is None
         assert frames[1].yaw == 0.5
@@ -118,7 +118,7 @@ class TestParseTrace:
             parse_trace(b'{"t": 0.0, "wheel": 1.0}', "jsonl")
 
     def test_jsonl_null_is_absent(self):
-        frames = parse_trace(b'{"t": 0.0, "swa": null}', "jsonl")
+        frames = list(parse_trace(b'{"t": 0.0, "swa": null}', "jsonl"))
         assert frames[0].swa is None
 
     def test_jsonl_bool_rejected(self):
@@ -155,38 +155,38 @@ class TestRoundTrip:
 class TestMakeWindows:
     def test_even_split(self):
         frames = frames_gapped(0.0, 100, 0.1, swa=0.0)
-        windows = make_windows(frames, 5.0, 5.0)
+        windows = make_windows(Trace.from_frames(frames), 5.0, 5.0)
         assert len(windows) == 2
         assert all(len(w.frames) == 50 for w in windows)
 
     def test_overlapping_stride(self):
         # hand-enumerated: starts 0,2,4,6,8 all hold at least two frames
         frames = frames_gapped(0.0, 100, 0.1, swa=0.0)
-        windows = make_windows(frames, 6.0, 2.0)
+        windows = make_windows(Trace.from_frames(frames), 6.0, 2.0)
         assert [w.start_t for w in windows] == [0.0, 2.0, 4.0, 6.0, 8.0]
         assert len(windows) == 5
 
     def test_empty(self):
-        assert make_windows([], 5.0, 5.0) == []
+        assert make_windows(Trace.from_frames([]), 5.0, 5.0) == []
 
     def test_boundary_frame_goes_to_next_window(self):
         frames = [SignalFrame(t=0.0), SignalFrame(t=4.9), SignalFrame(t=5.0),
                   SignalFrame(t=9.0)]
-        windows = make_windows(frames, 5.0, 5.0)
+        windows = make_windows(Trace.from_frames(frames), 5.0, 5.0)
         assert [f.t for f in windows[0].frames] == [0.0, 4.9]
         assert [f.t for f in windows[1].frames] == [5.0, 9.0]
 
     def test_single_frame_window_dropped(self):
         frames = [SignalFrame(t=0.0), SignalFrame(t=0.5), SignalFrame(t=7.0)]
-        windows = make_windows(frames, 5.0, 5.0)
+        windows = make_windows(Trace.from_frames(frames), 5.0, 5.0)
         assert len(windows) == 1
         assert windows[0].start_t == 0.0
 
     def test_bad_args(self):
         with pytest.raises(ArgumentError):
-            make_windows([], 0.0, 5.0)
+            make_windows(Trace.from_frames([]), 0.0, 5.0)
         with pytest.raises(ArgumentError):
-            make_windows([], 5.0, -1.0)
+            make_windows(Trace.from_frames([]), 5.0, -1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=0.05, max_value=1.5, allow_nan=False),
@@ -200,7 +200,7 @@ class TestMakeWindows:
         for gap in gaps:
             t += gap
             frames.append(SignalFrame(t=t))
-        windows = make_windows(frames, 4.0, 2.0)
+        windows = make_windows(Trace.from_frames(frames), 4.0, 2.0)
         assert windows
         last_end = max(w.end_t for w in windows)
         covered = {f.t for w in windows for f in w.frames}
@@ -216,7 +216,8 @@ class TestMakeWindows:
         # length > stride: windows opening before the first frame still hold it
         rng = np.random.default_rng(int(offset * 10 + length + stride))
         times = list(offset + np.cumsum(rng.uniform(0.05, 1.5, size=60)))
-        windows = make_windows([SignalFrame(t=t) for t in times], length, stride)
+        windows = make_windows(Trace.from_frames([SignalFrame(t=t) for t in times]),
+                               length, stride)
         got = [(w.start_t, w.end_t, [f.t for f in w.frames]) for w in windows]
         assert got == windows_oracle(times, length, stride)
 
@@ -226,7 +227,8 @@ class TestMakeWindows:
         base = [100.0 + i * 0.125 for i in range(960)]
         epoch = 1.7e9
         started = time.perf_counter()
-        windows = make_windows([SignalFrame(t=epoch + t) for t in base], 60.0, 10.0)
+        windows = make_windows(Trace.from_frames([SignalFrame(t=epoch + t) for t in base]),
+                               60.0, 10.0)
         assert time.perf_counter() - started < 1.0
         expected = windows_oracle(base, 60.0, 10.0)
         assert [(w.start_t - epoch, len(w.frames)) for w in windows] == \
@@ -236,19 +238,19 @@ class TestMakeWindows:
 class TestWindow:
     def test_length(self):
         w = Window(start_t=10.0, end_t=70.0,
-                   frames=(SignalFrame(t=12.0), SignalFrame(t=30.0)))
+                   frames=Trace.from_frames((SignalFrame(t=12.0), SignalFrame(t=30.0))))
         assert w.length == 60.0
 
     def test_frame_outside_bounds_rejected(self):
         with pytest.raises(ArgumentError):
             Window(start_t=0.0, end_t=5.0,
-                   frames=(SignalFrame(t=0.0), SignalFrame(t=5.0)))
+                   frames=Trace.from_frames((SignalFrame(t=0.0), SignalFrame(t=5.0))))
 
     def test_channel_extraction(self):
         w = Window(start_t=0.0, end_t=5.0,
-                   frames=(SignalFrame(t=0.0, swa=1.0),
-                           SignalFrame(t=1.0),
-                           SignalFrame(t=2.0, swa=3.0)))
+                   frames=Trace.from_frames((SignalFrame(t=0.0, swa=1.0),
+                                             SignalFrame(t=1.0),
+                                             SignalFrame(t=2.0, swa=3.0))))
         t, v = w.channel("swa")
         assert list(t) == [0.0, 2.0]
         assert list(v) == [1.0, 3.0]
@@ -277,7 +279,7 @@ def test_serialize_csv_only_used_columns():
 def test_window_frames_half_open():
     # interval convention: start in, end out
     frames = [SignalFrame(t=float(k)) for k in range(12)]
-    w = make_windows(frames, 10.0, 10.0)[0]
+    w = make_windows(Trace.from_frames(frames), 10.0, 10.0)[0]
     assert [f.t for f in w.frames] == [float(k) for k in range(10)]
 
 
@@ -487,7 +489,7 @@ class TestColumnViews:
         # a 0.5 s grid puts samples exactly on window starts and ends
         frames = [SignalFrame(t=k * 0.5, swa=float(k) if k % 2 else None,
                               eye_closure=0.5 if k % 3 else None) for k in range(400)]
-        for w in make_windows(frames, *geometry):
+        for w in make_windows(Trace.from_frames(frames), *geometry):
             for name in ("swa", "eye_closure", "yaw"):
                 t, v = w.channel(name)
                 assert (t.tolist(), v.tolist()) == \
@@ -499,7 +501,8 @@ class TestColumnViews:
         trace = Trace.from_frames(frames)
         assert len(trace) == len(frames)
         assert list(trace) == frames
-        assert [trace[i] for i in range(-len(frames), len(frames))] == frames + frames
+        with pytest.raises(TypeError):
+            trace[0]  # a trace is not a frame list
         assert trace == Trace.from_frames(list(trace))
         assert Trace.from_frames(trace) is trace
         assert trace.channels == tuple(
