@@ -2,7 +2,9 @@
 
 Builds a short synthetic drive, slices it into overlapping windows, and
 prints the steering / yaw / eyelid features the extractors produce for
-each window. Run with:  python3 demos/01_trace_and_features.py
+each window. Each feature family returns the fields it fills, and
+extract_features gathers them into one dict per window; `run` builds the
+window's FeatureVector from that dict. Run with:  python3 demos/01_trace_and_features.py
 """
 
 from fatiguekit import (
@@ -32,11 +34,12 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for w in windows:
-        fv, notes = extract_features(w)
-        apen = f"{fv.swa_apen:.3f}" if fv.swa_apen is not None else "—"
-        print(f"{w.start_t:>6.0f} {fv.mean_swa_abs:>10.2f} "
-              f"{fv.swa_correction_freq:>9.1f} {apen:>7} "
-              f"{fv.var_yaw:>8.3f} {fv.blink_freq:>10.1f}")
+        fields, notes = extract_features(w)
+        apen = fields.get("swa_apen")
+        apen = f"{apen:.3f}" if apen is not None else "—"
+        print(f"{w.start_t:>6.0f} {fields['mean_swa_abs']:>10.2f} "
+              f"{fields['swa_correction_freq']:>9.1f} {apen:>7} "
+              f"{fields['var_yaw']:>8.3f} {fields['blink_freq']:>10.1f}")
         for note in notes:
             print(f"       note: {note}")
 

@@ -13,6 +13,7 @@ from fatiguekit import (
     default_taxonomy,
     fuse,
     infer,
+    load_config,
     load_stock_pack,
     parse_rules,
     read_fatigue,
@@ -50,11 +51,12 @@ def main() -> None:
     for source, level in sorted(levels.items()):
         print(f"  {source:<14} {level.display()}")
 
+    cutoffs = load_config().fusion_cutoffs  # Low below 0.5, High from 1.5
     overall = fuse(levels, FusionWeights(weights={"SteeringWheel": 1.0,
-                                                  "YawAngle": 1.0}))
+                                                  "YawAngle": 1.0}), cutoffs)
     print(f"overall (equal weights): {overall.display()}")
     tilted = fuse(levels, FusionWeights(weights={"SteeringWheel": 1.0,
-                                                 "YawAngle": 3.0}))
+                                                 "YawAngle": 3.0}), cutoffs)
     print(f"overall (yaw x3):        {tilted.display()}")
 
     # The DSL reports precise positions on mistakes.

@@ -40,7 +40,6 @@ from .features import (
     gaze_features,
     head_features,
     kinematics_features,
-    merge_features,
     mouth_features,
     physiology_features,
     swa_features,
@@ -120,8 +119,8 @@ __all__ = [
     "FEATURE_NAMES", "ApEnParams", "FeatureParams", "FeatureVector",
     "approximate_entropy", "count_upcrossings",
     "extract_features", "eye_features", "gaze_features", "head_features",
-    "kinematics_features", "merge_features", "mouth_features",
-    "physiology_features", "swa_features", "yaw_features",
+    "kinematics_features", "mouth_features", "physiology_features",
+    "swa_features", "yaw_features",
     "ENGINE_VERSION", "FactBase", "KnowledgeSnapshot", "Taxonomy",
     "assert_fact", "assert_value", "default_taxonomy",
     "load_snapshot", "query_class", "save_snapshot",

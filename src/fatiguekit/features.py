@@ -1,12 +1,12 @@
 """Windowed feature extraction for drive and driver signals.
 
 Each extractor takes a Window and one FeatureParams, pulls one channel
-family off the window and returns a partial FeatureVector; extract_features
-gathers the family vectors, merges them with one merge_features call into a
-single FeatureVector, and is what the pipeline calls. Extractors are
-independent so a trace missing, say, the camera channels still yields the
-vehicular features. A value that overflows float64 on finite samples is left
-absent and noted, never reported.
+family off the window and returns a dict of the FeatureVector fields it
+fills; extract_features gathers the families' fields into one dict, and is
+what the pipeline calls. The pipeline builds the window's one FeatureVector
+from those fields. Extractors are independent so a trace missing, say, the
+camera channels still yields the vehicular features. A value that overflows
+float64 on finite samples is left absent and noted, never reported.
 
 Eyelid and mouth episodes come from the edges of a boolean mask in one
 numpy pass (_hold_runs); the head-pitch EWMA and the debounced steering
@@ -19,8 +19,7 @@ events per minute for frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -274,26 +273,8 @@ class FeatureVector:
 FEATURE_NAMES = tuple(
     f.name for f in fields(FeatureVector) if f.name not in ("window_start", "window_end"))
 
-
-_feature_values = attrgetter(*FEATURE_NAMES)
-
-
-def merge_features(*parts: FeatureVector) -> FeatureVector:
-    """Combine partial vectors for one window. Later parts win on overlap.
-
-    The present fields of all parts go into one dict, later parts
-    overwriting earlier ones, and one FeatureVector is built from it.
-    """
-    if not parts:
-        raise ArgumentError("nothing to merge")
-    window = (parts[0].window_start, parts[0].window_end)
-    merged: dict[str, float | int] = {}
-    for p in parts:
-        if (p.window_start, p.window_end) != window:
-            raise ArgumentError("cannot merge features from different windows")
-        merged.update((name, v) for name, v in zip(FEATURE_NAMES, _feature_values(p))
-                      if v is not None)
-    return FeatureVector(*window, **merged)
+# FeatureVector fields by name, as a family returns them; None is absent
+Fields = dict[str, float | int | None]
 
 
 def _channel_or_raise(w: Window, name: str, minimum: int):
@@ -351,7 +332,7 @@ def count_upcrossings(values, threshold: float, hysteresis: float) -> int:
     return count
 
 
-def swa_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def swa_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     """Steering-wheel angle features for one window.
 
     A correction is an upward crossing of |swa| through
@@ -367,42 +348,38 @@ def swa_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureV
                                   params.correction_hysteresis_deg)
     velocity = np.abs(np.diff(v) / np.diff(t))
     resampled, _ = _resample_series(t, v)
-    return FeatureVector(
-        window_start=w.start_t,
-        window_end=w.end_t,
-        mean_swa_abs=float(np.mean(abs_v)),
-        max_swa_abs=float(np.max(abs_v)),
-        swa_correction_freq=crossings * 60.0 / w.length,
-        swa_angular_velocity_max=float(np.max(velocity)),
-        swa_apen=_resampled_apen(resampled, params.apen),
-    )
+    return {
+        "mean_swa_abs": float(np.mean(abs_v)),
+        "max_swa_abs": float(np.max(abs_v)),
+        "swa_correction_freq": crossings * 60.0 / w.length,
+        "swa_angular_velocity_max": float(np.max(velocity)),
+        "swa_apen": _resampled_apen(resampled, params.apen),
+    }
 
 
-def yaw_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def yaw_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     """Yaw angle features: mean magnitude, population variance, ApEn and
     the largest second difference per squared step (a yaw-rate acceleration
     proxy), the latter two on the resampled series."""
     t, v = _channel_or_raise(w, "yaw", 3)
     resampled, dt = _resample_series(t, v)
     accel = np.abs(np.diff(resampled, n=2)) / (dt * dt)
-    return FeatureVector(
-        window_start=w.start_t,
-        window_end=w.end_t,
-        mean_yaw_abs=float(np.mean(np.abs(v))),
-        var_yaw=float(np.var(v)),
-        yaw_apen=_resampled_apen(resampled, params.apen),
-        yaw_accel_max=float(np.max(accel)) if len(accel) else None,
-    )
+    return {
+        "mean_yaw_abs": float(np.mean(np.abs(v))),
+        "var_yaw": float(np.var(v)),
+        "yaw_apen": _resampled_apen(resampled, params.apen),
+        "yaw_accel_max": float(np.max(accel)) if len(accel) else None,
+    }
 
 
-def kinematics_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def kinematics_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     """Lateral acceleration range plus lane-keeping spread and crossings.
 
     The two source channels are independent: whichever is present on at
     least two frames contributes its fields. Only when neither is usable
     does the extractor raise.
     """
-    out: dict[str, float | int] = {}
+    out: Fields = {}
     t_a, a = w.channel("lat_accel")
     if len(a) >= 2:
         out["lat_accel_range"] = float(np.max(a) - np.min(a))
@@ -414,7 +391,7 @@ def kinematics_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> F
         out["lane_crossings"] = int(np.sum((g[:-1] < 0) & (g[1:] >= 0)))
     if not out:
         raise MissingChannelError("lat_accel/lane_offset")
-    return FeatureVector(window_start=w.start_t, window_end=w.end_t, **out)
+    return out
 
 
 def _hold_runs(t: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -442,7 +419,7 @@ def closed_fraction(t: np.ndarray, v: np.ndarray, closed_threshold: float) -> fl
     return float(np.sum(np.diff(t)[closed])) / float(t[-1] - t[0])
 
 
-def eye_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def eye_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     """Eyelid features from the closure channel.
 
     perclos80 is the time-weighted fraction of the observed span with
@@ -455,31 +432,24 @@ def eye_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureV
     durations = _hold_runs(t, v >= params.eye_closed_threshold)
     blinks = durations[(durations >= _BLINK_MIN_S - _EPS)
                        & (durations < _MICROSLEEP_MIN_S - _EPS)]
-    return FeatureVector(
-        window_start=w.start_t,
-        window_end=w.end_t,
-        perclos80=closed_fraction(t, v, params.eye_closed_threshold),
-        blink_freq=len(blinks) * 60.0 / w.length,
-        blink_dur_mean=float(np.mean(blinks)) if len(blinks) else None,
-        microsleep_count=int(np.count_nonzero(durations >= _MICROSLEEP_MIN_S - _EPS)),
-    )
+    return {
+        "perclos80": closed_fraction(t, v, params.eye_closed_threshold),
+        "blink_freq": len(blinks) * 60.0 / w.length,
+        "blink_dur_mean": float(np.mean(blinks)) if len(blinks) else None,
+        "microsleep_count": int(np.count_nonzero(durations >= _MICROSLEEP_MIN_S - _EPS)),
+    }
 
 
-def mouth_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def mouth_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     """Yawn detection: mouth_open at or above params.yawn_ratio held for at
     least params.yawn_min_dur_s seconds counts one yawn."""
     t, v = _channel_or_raise(w, "mouth_open", 1)
     durations = _hold_runs(t, v >= params.yawn_ratio)
     yawns = int(np.count_nonzero(durations >= params.yawn_min_dur_s - _EPS))
-    return FeatureVector(
-        window_start=w.start_t,
-        window_end=w.end_t,
-        yawn_count=yawns,
-        yawn_freq=yawns * 60.0 / w.length,
-    )
+    return {"yawn_count": yawns, "yawn_freq": yawns * 60.0 / w.length}
 
 
-def head_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def head_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     """Exponentially weighted mean and variance of head pitch.
 
     Seeded with the first sample (variance 0) and stepped once per further
@@ -499,39 +469,34 @@ def head_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Feature
         delta = x - ewma
         ewma = alpha * x + beta * ewma
         ewvar = beta * (ewvar + alpha * delta * delta)
-    return FeatureVector(
-        window_start=w.start_t, window_end=w.end_t,
-        head_ewma=ewma, head_ewvar=ewvar)
+    return {"head_ewma": ewma, "head_ewvar": ewvar}
 
 
-def physiology_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def physiology_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     t, v = _channel_or_raise(w, "heart_bpm", 1)
-    return FeatureVector(
-        window_start=w.start_t, window_end=w.end_t,
-        mean_bpm=float(np.mean(v)))
+    return {"mean_bpm": float(np.mean(v))}
 
 
-def gaze_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> FeatureVector:
+def gaze_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS) -> Fields:
     """Fraction of gaze transitions faster than params.saccade_speed_dps
     (degrees per second)."""
     t, v = _channel_or_raise(w, "gaze_offset", 2)
     speed = np.abs(np.diff(v) / np.diff(t))
-    return FeatureVector(
-        window_start=w.start_t, window_end=w.end_t,
-        gaze_persac=float(np.mean(speed > params.saccade_speed_dps)))
+    return {"gaze_persac": float(np.mean(speed > params.saccade_speed_dps))}
 
 
 def extract_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS
-                     ) -> tuple[FeatureVector, list[str]]:
+                     ) -> tuple[Fields, list[str]]:
     """Run every extractor the window can feed.
 
-    Returns the merged vector plus a list of notes for the families that
+    Returns the fields of every family that ran, in one dict keyed by
+    FeatureVector field name, plus a list of notes for the families that
     could not run (missing channel, too little data) and for the fields
     left absent because their arithmetic overflowed float64 on finite
-    samples. A window missing every channel still returns an all-absent
-    vector.
+    samples. A window missing every channel gives an empty dict. The
+    caller builds the FeatureVector.
     """
-    parts = [FeatureVector(window_start=w.start_t, window_end=w.end_t)]
+    out: Fields = {}
     notes: list[str] = []
     with np.errstate(over="ignore", invalid="ignore"):
         # the families are looked up by name at each call, so a wrapper
@@ -539,13 +504,12 @@ def extract_features(w: Window, params: FeatureParams = _DEFAULT_PARAMS
         for extract in (swa_features, yaw_features, kinematics_features, eye_features,
                         mouth_features, head_features, physiology_features, gaze_features):
             try:
-                parts.append(extract(w, params))
+                out.update(extract(w, params))
             except (MissingChannelError, InsufficientDataError) as e:
                 notes.append(str(e))
-    fv = merge_features(*parts)
-    overflowed = [name for name, v in zip(FEATURE_NAMES, _feature_values(fv))
-                  if v is not None and not math.isfinite(v)]
-    if overflowed:
-        fv = replace(fv, **dict.fromkeys(overflowed))
-        notes.extend(f"{name}: overflows float64, left absent" for name in overflowed)
-    return fv, notes
+    for name in FEATURE_NAMES:
+        v = out.get(name)
+        if v is not None and not math.isfinite(v):
+            del out[name]
+            notes.append(f"{name}: overflows float64, left absent")
+    return out, notes

@@ -88,8 +88,9 @@ class Taxonomy:
         code that derives them; only known classes are ever cached here."""
         return {}
 
-    def _closure(self, kind: str, cls: str, edges: dict) -> frozenset[str]:
-        found = self.memo.get((kind, cls))
+    def descendants(self, cls: str) -> frozenset[str]:
+        """All classes from which cls is reachable upward, cls included."""
+        found = self.memo.get(("descendants", cls))
         if found is None:
             if cls not in self.classes:
                 raise UnknownClassError(cls)
@@ -100,17 +101,9 @@ class Taxonomy:
                 if c in seen:
                     continue
                 seen.add(c)
-                stack.extend(edges.get(c, ()))
-            found = self.memo[kind, cls] = frozenset(seen)
+                stack.extend(self._children.get(c, ()))
+            found = self.memo["descendants", cls] = frozenset(seen)
         return found
-
-    def ancestors(self, cls: str) -> frozenset[str]:
-        """All classes reachable upward from cls, cls included."""
-        return self._closure("ancestors", cls, self.parents)
-
-    def descendants(self, cls: str) -> frozenset[str]:
-        """All classes from which cls is reachable upward, cls included."""
-        return self._closure("descendants", cls, self._children)
 
     @cached_property
     def _snapshot_text(self) -> str:

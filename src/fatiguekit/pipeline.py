@@ -1,10 +1,11 @@
 """End-to-end orchestration: trace in, fatigue report out.
 
-Per window the pipeline extracts features, qualifies them into facts,
-builds a fresh fact base seeded with the taxonomy and one anchor individual
-per verdict source, runs the rule pack to fixpoint, reads the per-source
-levels and fuses them into an overall level. Alerts follow a consecutive-
-windows policy over the overall levels.
+Per window the pipeline gathers the feature families' fields, builds the
+window's one FeatureVector from them, qualifies it into facts, builds a
+fresh fact base seeded with the taxonomy and one anchor individual per
+verdict source, runs the rule pack to fixpoint, reads the per-source levels
+and fuses them into an overall level. Alerts follow a consecutive-windows
+policy over the overall levels.
 
 Everything is deterministic: the same trace and config produce the same
 report bytes and the same snapshot bytes.
@@ -279,10 +280,11 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     records: list[WindowRecord] = []
     snapshots: list[tuple[int, KnowledgeSnapshot]] = []
     for index, w in enumerate(windows):
-        fv, notes = extract_features(w, cfg.feature_params)
-
-        # join the freshest fully elapsed closure window, if any
-        fv = replace(fv, perclos80=_latest_elapsed(perclos_ends, perclos_values, w.end_t))
+        fields, notes = extract_features(w, cfg.feature_params)
+        # the freshest fully elapsed closure window, if any, replaces the
+        # window's own closure fraction
+        fields["perclos80"] = _latest_elapsed(perclos_ends, perclos_values, w.end_t)
+        fv = FeatureVector(w.start_t, w.end_t, **fields)
 
         facts = tuple(qualify(fv, cfg.scheme, cfg.profile))
 

@@ -386,7 +386,7 @@ class FusionWeights:
 
 def fuse(levels: dict[str, FatigueLevel],
          weights: FusionWeights,
-         cutoffs: tuple[float, float] = (0.5, 1.5)) -> FatigueLevel:
+         cutoffs: tuple[float, float]) -> FatigueLevel:
     """Weighted mean of the level encodings, mapped back to a level.
 
     score < cutoffs[0] reads Low, score >= cutoffs[1] reads High, Medium in

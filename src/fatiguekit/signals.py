@@ -509,19 +509,21 @@ def serialize_trace(trace: Trace | Iterable[SignalFrame], format: str = "csv") -
         raise ArgumentError(f"unknown trace format {format!r}")
     trace = Trace.from_frames(trace)
     names, rows = trace.channels, trace._rows()
+    # text is encoded as it is written, so the output is held once, as bytes
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
     if format == "csv":
-        out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["t", *names])
         writer.writerows([repr(t), *("" if v is None else repr(v) for v in values)]
                          for t, values in rows)
-        return out.getvalue().encode("utf-8")
-    lines = []
-    for t, values in rows:
-        obj = {"t": t}
-        obj.update((name, v) for name, v in zip(names, values) if v is not None)
-        lines.append(json.dumps(obj, sort_keys=True))
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    else:
+        for t, values in rows:
+            obj = {"t": t}
+            obj.update((name, v) for name, v in zip(names, values) if v is not None)
+            out.write(json.dumps(obj, sort_keys=True) + "\n")
+    out.flush()
+    return buf.getvalue()
 
 
 def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:

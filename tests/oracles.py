@@ -11,7 +11,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields, replace
 
 import numpy as np
 
@@ -472,17 +471,3 @@ def hold_runs_loop(t, above) -> list[tuple[float, float]]:
             i += 1
     return runs
 
-
-def merge_features_fold(*parts):
-    """Merge partial feature vectors by one `dataclasses.replace` per
-    later part, each taking that part's present fields; the package's
-    former merge."""
-    base = parts[0]
-    for p in parts[1:]:
-        if (p.window_start, p.window_end) != (base.window_start, base.window_end):
-            raise ValueError("cannot merge features from different windows")
-        updates = {f.name: getattr(p, f.name) for f in fields(p)
-                   if f.name not in ("window_start", "window_end")
-                   and getattr(p, f.name) is not None}
-        base = replace(base, **updates)
-    return base

@@ -36,6 +36,7 @@ from fatiguekit import (
     eye_features,
     fuse,
     infer,
+    load_config,
     load_snapshot,
     load_stock_pack,
     parse_rules,
@@ -204,7 +205,7 @@ def test_criterion_4_perclos_and_blinks():
         times = [float(t) for t in range(181)]            # spans 180 s
         closures = [1.0 if t < 36 else 0.0 for t in range(181)]
         fv = eye_features(_closure_window(times, closures))
-        assert abs(fv.perclos80 - 0.200) <= 1e-9
+        assert abs(fv["perclos80"] - 0.200) <= 1e-9
 
         dt = 0.1
         times = [round(i * dt, 10) for i in range(31)]    # 3 s at 10 Hz
@@ -212,13 +213,13 @@ def test_criterion_4_perclos_and_blinks():
 
         short = [1.0 if 1.0 <= t <= 1.25 else 0.0 for t in times]
         fv = eye_features(_closure_window(times, short))
-        blinks = round(fv.blink_freq * w_len / 60.0)
-        assert (blinks, fv.microsleep_count) == (1, 0)
+        blinks = round(fv["blink_freq"] * w_len / 60.0)
+        assert (blinks, fv["microsleep_count"]) == (1, 0)
 
         long_pulse = [1.0 if 1.0 <= t <= 1.75 else 0.0 for t in times]
         fv = eye_features(_closure_window(times, long_pulse))
-        blinks = round(fv.blink_freq * w_len / 60.0)
-        assert (blinks, fv.microsleep_count) == (0, 1)
+        blinks = round(fv["blink_freq"] * w_len / 60.0)
+        assert (blinks, fv["microsleep_count"]) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +449,7 @@ def test_criterion_8_parser_mutations():
 def test_criterion_9_fusion_properties():
     with criterion(9, "1000 weight scalings never move the answer; unanimity holds"):
         rng = np.random.default_rng(900412)
+        cutoffs = load_config().fusion_cutoffs
         all_levels = list(FatigueLevel)
         for _ in range(1000):
             n_sources = int(rng.integers(1, 5))
@@ -455,11 +457,11 @@ def test_criterion_9_fusion_properties():
                       for k in range(n_sources)}
             weights = {name: float(rng.uniform(0.05, 10.0)) for name in levels}
             scale = float(rng.uniform(0.01, 100.0))
-            base = fuse(levels, FusionWeights(weights=weights))
+            base = fuse(levels, FusionWeights(weights=weights), cutoffs)
             scaled = fuse(levels, FusionWeights(
-                weights={k: v * scale for k, v in weights.items()}))
+                weights={k: v * scale for k, v in weights.items()}), cutoffs)
             assert scaled is base
 
             unanimous = all_levels[int(rng.integers(3))]
             same = {name: unanimous for name in levels}
-            assert fuse(same, FusionWeights(weights=weights)) is unanimous
+            assert fuse(same, FusionWeights(weights=weights), cutoffs) is unanimous

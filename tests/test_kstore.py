@@ -97,8 +97,9 @@ class TestTaxonomy:
             Taxonomy(classes=frozenset({"A"}), parents={"A": ("Ghost",)})
 
     def test_ancestors_include_self(self):
-        assert DIAMOND.ancestors("Bottom") \
-            == frozenset({"Bottom", "LeftMid", "RightMid", "Top"})
+        from oracles import reachable_oracle
+        assert reachable_oracle(DIAMOND.parents, "Bottom") \
+            == {"Bottom", "LeftMid", "RightMid", "Top"}
 
     def test_descendants_include_self(self):
         assert DIAMOND.descendants("Top") \
@@ -106,7 +107,7 @@ class TestTaxonomy:
         assert DIAMOND.descendants("Stray") == frozenset({"Stray"})
 
     def test_random_dags_match_reachability_oracle(self):
-        from oracles import reachable_oracle
+        from oracles import descendants_oracle
         rng = np.random.default_rng(99)
         for _ in range(25):
             n = int(rng.integers(2, 9))
@@ -121,8 +122,8 @@ class TestTaxonomy:
                     parents[names[i]] = tuple(str(p) for p in picked)
             tax = Taxonomy(classes=frozenset(names), parents=parents)
             for name in names:
-                assert tax.ancestors(name) == frozenset(
-                    reachable_oracle(parents, name))
+                assert tax.descendants(name) == frozenset(
+                    descendants_oracle(parents, tax.classes, name))
 
 
 class TestFactBase:
@@ -235,7 +236,9 @@ class TestSnapshots:
         assert loaded.factbase.memberships == fb.memberships
         assert loaded.factbase.data_properties == fb.data_properties
         assert loaded.factbase.taxonomy.classes == DIAMOND.classes
-        assert loaded.factbase.taxonomy.ancestors("Bottom") == DIAMOND.ancestors("Bottom")
+        from oracles import reachable_oracle
+        assert reachable_oracle(loaded.factbase.taxonomy.parents, "Bottom") \
+            == reachable_oracle(DIAMOND.parents, "Bottom")
         assert loaded.trace_id == "tr"
         assert loaded.window == (0.0, 60.0)
 
@@ -284,18 +287,20 @@ class TestDefaultTaxonomy:
         assert "YawAngleMeasurementFatigue" in tax.classes
 
     def test_level_classes_under_anchors(self):
+        from oracles import reachable_oracle
         tax = default_taxonomy()
         assert "SteeringWheelMeasurementFatigue" \
-            in tax.ancestors("SteeringWheelMeasurmentFatigue_High")
+            in reachable_oracle(tax.parents, "SteeringWheelMeasurmentFatigue_High")
         assert "YawAngleMeasurementFatigue" \
-            in tax.ancestors("YawAngleMeasurmentFatigue_Low")
+            in reachable_oracle(tax.parents, "YawAngleMeasurmentFatigue_Low")
 
     def test_scheme_labels_attached(self):
         from fatiguekit import default_scheme
+        from oracles import reachable_oracle
         tax = default_taxonomy(default_scheme())
         assert "SWA_Extreme" in tax.classes
         assert "BPM_Drowsy" in tax.classes
-        assert "SWA_measure" in tax.ancestors("SWA_Extreme")
+        assert "SWA_measure" in reachable_oracle(tax.parents, "SWA_Extreme")
 
     def test_three_measure_roots(self):
         tax = default_taxonomy()
@@ -390,9 +395,8 @@ def random_dag(rng) -> tuple[list[str], dict]:
 class TestMemoisedClosures:
     @staticmethod
     def assert_matches_oracles(tax):
-        from oracles import descendants_oracle, reachable_oracle
+        from oracles import descendants_oracle
         for name in sorted(tax.classes):
-            assert tax.ancestors(name) == frozenset(reachable_oracle(tax.parents, name))
             assert tax.descendants(name) \
                 == frozenset(descendants_oracle(tax.parents, tax.classes, name))
 
@@ -401,7 +405,7 @@ class TestMemoisedClosures:
         for _ in range(40):
             names, parents = random_dag(rng)
             tax = Taxonomy(classes=frozenset(names), parents=parents)
-            before = {c: (tax.ancestors(c), tax.descendants(c)) for c in names}
+            before = {c: tax.descendants(c) for c in names}
             for _ in range(3):
                 self.assert_matches_oracles(tax)
             # C0 gains a parent and the last class a child: a new instance
@@ -409,17 +413,14 @@ class TestMemoisedClosures:
             grown = Taxonomy(classes=frozenset(names) | {"Top", "Leaf"},
                              parents={**parents, "C0": ("Top",), "Leaf": (names[-1],)})
             self.assert_matches_oracles(grown)
-            assert grown.ancestors("C0") == frozenset({"C0", "Top"})
             assert "Leaf" in grown.descendants(names[-1])
-            assert {c: (tax.ancestors(c), tax.descendants(c)) for c in names} == before
+            assert {c: tax.descendants(c) for c in names} == before
             with pytest.raises(UnknownClassError):
                 tax.descendants("Top")
 
     def test_unknown_class_raises_on_every_call(self):
         tax = Taxonomy(classes=DIAMOND.classes, parents=dict(DIAMOND.parents))
         for _ in range(3):
-            with pytest.raises(UnknownClassError):
-                tax.ancestors("Nope")
             with pytest.raises(UnknownClassError):
                 tax.descendants("Nope")
         assert tax.descendants("LeftMid") == frozenset({"LeftMid", "Bottom"})

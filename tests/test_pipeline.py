@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -19,7 +20,9 @@ from fatiguekit import (
     DecodeError,
     FatigueLevel,
     FeatureParams,
+    FeatureVector,
     PipelineConfig,
+    SignalFrame,
     Trace,
     UnknownClassError,
     decide,
@@ -34,6 +37,7 @@ from fatiguekit import (
     simple_spec,
 )
 from fatiguekit.pipeline import _latest_elapsed, _perclos_by_window_end
+from fatiguekit.scenario import ScenarioSpec, Segment
 
 LOW = FatigueLevel.LOW
 MED = FatigueLevel.MEDIUM
@@ -387,7 +391,7 @@ class TestClosurePass:
                 fv = eye_features(w, cfg.feature_params)
             except Exception:
                 continue
-            out.append((w.end_t, fv.perclos80))
+            out.append((w.end_t, fv["perclos80"]))
         return out
 
     @pytest.mark.parametrize("regime,threshold", [("drowsy", 0.8), ("alert", 0.3)])
@@ -462,3 +466,46 @@ class TestKnowledgeLayerPerWindow:
             [sys.executable, "-c", "from tracer import Tracer; Tracer(180.0).install()"],
             cwd=root, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+def joined_overflow_trace() -> Trace:
+    """A 120 s trace, t = 100 to 220 s, with no yaw, lateral-acceleration or
+    lane channel; swa alternates +-1e308 over [150, 160) s, and eye closure
+    spans the first 180 s closure windows to elapse."""
+    spec = ScenarioSpec(duration=220.0, sample_rate=10.0, seed=5, segments=(
+        Segment(100.0, 160.0, "alert"), Segment(160.0, 220.0, "drowsy")))
+    kept = ("swa", "speed", "lon_accel", "eye_closure", "mouth_open", "head_pitch",
+            "heart_bpm", "gaze_offset")
+    frames = []
+    for k, f in enumerate(generate_scenario(spec)):
+        channels = {c: getattr(f, c) for c in kept}
+        if 150.0 <= f.t < 160.0:
+            channels["swa"] = 1e308 if k % 2 else -1e308
+        frames.append(SignalFrame(t=f.t, **channels))
+    return Trace.from_frames(frames)
+
+
+class TestFeatureVectorPerWindow:
+    def test_run_builds_one_feature_vector_per_window(self, monkeypatch):
+        built = []
+        init = FeatureVector.__init__
+
+        def counted(fv, *args, **kwargs):
+            init(fv, *args, **kwargs)
+            built.append((fv.window_start, fv.window_end))
+        monkeypatch.setattr(FeatureVector, "__init__", counted)
+        report = run(joined_overflow_trace(), load_config())
+        assert len(report.records) == 17
+        assert built == [(r.window.start_t, r.window.end_t) for r in report.records]
+
+    def test_missing_families_overflow_notes_and_closure_join_bytes(self):
+        # the digest pins the order of overflow notes, the notes of absent
+        # families and the joined closure fractions, which the contract
+        # traces do not reach
+        report = run(joined_overflow_trace(), load_config())
+        notes = {n for r in report.records for n in r.errors}
+        assert "swa_apen: overflows float64, left absent" in notes
+        assert "channel 'yaw' absent from window" in notes
+        assert sum(r.features.perclos80 is not None for r in report.records) == 10
+        assert hashlib.sha256(report.to_jsonl()).hexdigest() == \
+            "82bc2024339e619f0157b57a17fa26b07fcf4f68885c6494748da7dbf1d00889"

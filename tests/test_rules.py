@@ -26,6 +26,7 @@ from fatiguekit import (
 )
 
 WEIGHTS = load_config().weights  # SteeringWheel and YawAngle at 1.0
+CUTOFFS = load_config().fusion_cutoffs  # 0.5 and 1.5
 STEERING_ANCHOR = "SteeringWheelMeasurementFatigue"
 YAW_ANCHOR = "YawAngleMeasurementFatigue"
 
@@ -327,34 +328,34 @@ class TestFatigueLevel:
 class TestFusion:
     def test_unanimous_high(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH, "YawAngle": FatigueLevel.HIGH}
-        assert fuse(levels, WEIGHTS) is FatigueLevel.HIGH
+        assert fuse(levels, WEIGHTS, CUTOFFS) is FatigueLevel.HIGH
 
     def test_split_is_medium(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH, "YawAngle": FatigueLevel.LOW}
-        assert fuse(levels, WEIGHTS) is FatigueLevel.MEDIUM
+        assert fuse(levels, WEIGHTS, CUTOFFS) is FatigueLevel.MEDIUM
 
     def test_single_source_identity(self):
         for level in FatigueLevel:
-            assert fuse({"SteeringWheel": level}, WEIGHTS) is level
+            assert fuse({"SteeringWheel": level}, WEIGHTS, CUTOFFS) is level
 
     def test_weighted_tilt(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH, "YawAngle": FatigueLevel.LOW}
         w = FusionWeights(weights={"SteeringWheel": 3.0, "YawAngle": 1.0})
-        assert fuse(levels, w) is FatigueLevel.HIGH  # score 1.5 sits on the cutoff
+        assert fuse(levels, w, CUTOFFS) is FatigueLevel.HIGH  # score 1.5 sits on the cutoff
 
     def test_score_half_is_medium(self):
         levels = {"SteeringWheel": FatigueLevel.LOW, "YawAngle": FatigueLevel.MEDIUM}
-        assert fuse(levels, WEIGHTS) is FatigueLevel.MEDIUM
+        assert fuse(levels, WEIGHTS, CUTOFFS) is FatigueLevel.MEDIUM
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            fuse({}, WEIGHTS)
+            fuse({}, WEIGHTS, CUTOFFS)
 
     def test_zero_present_weight_rejected(self):
         levels = {"SteeringWheel": FatigueLevel.HIGH}
         w = FusionWeights(weights={"SteeringWheel": 0.0, "YawAngle": 1.0})
         with pytest.raises(EmptyInputError):
-            fuse(levels, w)
+            fuse(levels, w, CUTOFFS)
 
     def test_bad_cutoffs(self):
         with pytest.raises(ArgumentError):
@@ -370,7 +371,7 @@ class TestFusion:
 
     def test_unknown_source_gets_unit_weight(self):
         levels = {"Mystery": FatigueLevel.MEDIUM}
-        assert fuse(levels, WEIGHTS) is FatigueLevel.MEDIUM
+        assert fuse(levels, WEIGHTS, CUTOFFS) is FatigueLevel.MEDIUM
 
     def test_equal_weight_tie_at_cutoff_survives_scaling(self):
         # High and Medium at equal weight tie the 1.5 cutoff exactly; summing
@@ -379,7 +380,7 @@ class TestFusion:
         w = 43.018805847241126
         for scale in (1.0, 3.0, 0.1, 1000.0):
             weights = FusionWeights(weights={"SteeringWheel": w * scale, "Third": w * scale})
-            assert fuse(levels, weights) is FatigueLevel.HIGH
+            assert fuse(levels, weights, CUTOFFS) is FatigueLevel.HIGH
 
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(
@@ -393,14 +394,14 @@ class TestFusion:
         base = FusionWeights(weights=dict(zip(names, raw_weights)))
         scaled = FusionWeights(
             weights={s: w * factor for s, w in base.weights.items()})
-        assert fuse(levels, base) is fuse(levels, scaled)
+        assert fuse(levels, base, CUTOFFS) is fuse(levels, scaled, CUTOFFS)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(list(FatigueLevel)),
            st.integers(min_value=1, max_value=4))
     def test_unanimity(self, level, n):
         levels = {f"S{i}": level for i in range(n)}
-        assert fuse(levels, WEIGHTS) is level
+        assert fuse(levels, WEIGHTS, CUTOFFS) is level
 
 
 def _reading(fb):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from fatiguekit import (
     SignalFrame,
     Trace,
     Window,
+    generate_scenario,
     load_config,
     make_windows,
     parse_trace,
     serialize_trace,
+    simple_spec,
 )
 
 
@@ -274,6 +277,22 @@ def test_serialize_csv_only_used_columns():
     frames = [SignalFrame(t=0.0, swa=1.0), SignalFrame(t=1.0, swa=2.0)]
     text = serialize_trace(frames, "csv").decode()
     assert text.splitlines()[0] == "t,swa"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_serialize_holds_its_output_once(fmt):
+    # 2 400 rows of t and 11 channels. Holding the text, a str copy and the
+    # encoded bytes at once peaked at 2.6 times the output for CSV and 3.2
+    # times for JSONL.
+    trace = generate_scenario(simple_spec("drowsy", duration=240.0, seed=3))
+    tracemalloc.start()
+    try:
+        blob = serialize_trace(trace, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 2400 and blob.count(b"\n") == 2400 + (fmt == "csv")
+    assert peak < 2 * len(blob)
 
 
 def test_window_frames_half_open():
