@@ -12,6 +12,7 @@ one trailing newline, so saving the same store twice yields identical bytes.
 
 from __future__ import annotations
 
+import graphlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -48,31 +49,17 @@ class Taxonomy:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        # Depth-first over parent links with an explicit stack, so chain
-        # depth is not bounded by the interpreter's recursion limit. Roots
-        # go in sorted order: a frozenset's order follows the string hash
-        # seed, and with it which class a cycle is reported from.
-        done: set[str] = set()
-        for root in sorted(self.classes):
-            if root in done:
-                continue
-            trail = [root]
-            on_trail = {root}
-            stack = [iter(self.parents.get(root, ()))]
-            while stack:
-                p = next(stack[-1], None)
-                if p is None:
-                    stack.pop()
-                    c = trail.pop()
-                    on_trail.discard(c)
-                    done.add(c)
-                elif p in on_trail:
-                    cycle = " -> ".join(trail + [p])
-                    raise ArgumentError(f"subclass cycle: {cycle}")
-                elif p not in done:
-                    trail.append(p)
-                    on_trail.add(p)
-                    stack.append(iter(self.parents.get(p, ())))
+        # Classes go in sorted order, and each child precedes its parents:
+        # a frozenset's order follows the string hash seed, and with it
+        # which cycle would be reported, in which direction.
+        order = graphlib.TopologicalSorter(dict.fromkeys(sorted(self.classes), ()))
+        for child, ps in self.parents.items():
+            for p in ps:
+                order.add(p, child)
+        try:
+            order.prepare()
+        except graphlib.CycleError as e:
+            raise ArgumentError("subclass cycle: " + " -> ".join(e.args[1])) from None
 
     @cached_property
     def _children(self) -> dict[str, list[str]]:
@@ -142,8 +129,6 @@ class FactBase:
 
 def assert_fact(fb: FactBase, individual: str, cls: str) -> FactBase:
     """A new fact base that also holds (individual, cls). Idempotent."""
-    if cls not in fb.taxonomy.classes:
-        raise UnknownClassError(cls)
     pair = (individual, cls)
     if pair in fb.memberships:
         return fb
@@ -160,8 +145,6 @@ def assert_value(fb: FactBase, individual: str, prop: str, value: float) -> Fact
 
 def query_class(fb: FactBase, cls: str) -> frozenset[str]:
     """Individuals entailed to be in cls (subclass-closed)."""
-    if cls not in fb.taxonomy.classes:
-        raise UnknownClassError(cls)
     wanted = fb.taxonomy.descendants(cls)
     return frozenset(i for i, c in fb.memberships if c in wanted)
 

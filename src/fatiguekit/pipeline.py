@@ -30,7 +30,7 @@ from .features import (
 )
 from .kstore import FactBase, KnowledgeSnapshot, Taxonomy, default_taxonomy, ontology, save_snapshot
 from .kstore import assert_fact, assert_value  # noqa: F401  patched by perfbench's tracer
-from .qualify import QualificationScheme, QualifiedFact, load_scheme, qualify
+from .qualify import QualificationScheme, QualifiedFact, individual_name, load_scheme, qualify
 from .rules import (
     FatigueLevel,
     FiredRule,
@@ -154,6 +154,9 @@ def load_config(data: bytes | str | None = None, *,
     cutoffs = obj["fusion_cutoffs"]
     if not (isinstance(cutoffs, list) and len(cutoffs) == 2):
         raise DecodeError(f"config fusion_cutoffs must be two numbers, got {cutoffs!r}")
+    cutoffs = tuple(_inputs.number(c, "config fusion_cutoffs") for c in cutoffs)
+    if not cutoffs[0] < cutoffs[1]:
+        raise DecodeError(f"config fusion_cutoffs must increase, got {list(cutoffs)}")
 
     return PipelineConfig(
         window_length_s=_inputs.number(obj["window_length_s"], "config window_length_s"),
@@ -164,7 +167,7 @@ def load_config(data: bytes | str | None = None, *,
         rule_pack=pack,
         weights=FusionWeights(weights={k: _inputs.number(v, f"config fusion_weights.{k}")
                                        for k, v in weights.items()}),
-        fusion_cutoffs=tuple(_inputs.number(c, "config fusion_cutoffs") for c in cutoffs),
+        fusion_cutoffs=cutoffs,
         alert=AlertPolicy(
             level=FatigueLevel.from_name(
                 _inputs.of_type(obj["alert_level"], str, "config alert_level", "a level name")),
@@ -290,7 +293,7 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
 
         # one build per window; a repeated (individual, property) keeps the
         # last value, as assert_value would
-        members = {(f"{name}@{w.start_t}", cls) for name, cls in anchors.items()}
+        members = {(individual_name(name, w.start_t), cls) for name, cls in anchors.items()}
         values: dict[tuple[str, str], float] = {}
         for fact in facts:
             members.add((fact.individual, fact.class_label))

@@ -1,10 +1,11 @@
 """Turn numeric features into class-labelled facts.
 
-A qualification scheme maps each feature to an ordered set of half-open
-bands: lower bound inclusive, upper bound exclusive, None meaning
-unbounded. Band sets must tile their feature's whole range with no gap and
-no overlap, so every finite value lands in exactly one band. Heart-rate
-bands depend on the driver profile's sex.
+A qualification scheme is one band table. It maps each feature to an
+ordered set of half-open bands (lower bound inclusive, upper bound
+exclusive, None meaning unbounded) or, for a feature banded by the
+driver's sex such as heart rate, to one such set per sex. Band sets must
+tile their feature's whole range with no gap and no overlap, so every
+finite value lands in exactly one band.
 
 The crisp single-band decision is deliberate; there are no membership
 degrees anywhere downstream.
@@ -86,33 +87,35 @@ def _validate_band_set(feature: str, bands: tuple[Band, ...]) -> tuple[Band, ...
 
 @dataclass(frozen=True)
 class QualificationScheme:
-    """Band sets keyed by feature; mean_bpm is keyed again by sex."""
+    """One band table, shaped as the scheme JSON: each feature maps to its
+    band set or, for a feature banded by the driver's sex, to a
+    {Sex: band set} mapping.
 
-    bands: dict[str, tuple[Band, ...]]
-    bands_by_sex: dict[str, dict[Sex, tuple[Band, ...]]]
+    Construction validates every band set into a new table of sorted tuples;
+    the mappings and lists the caller passed are left as given.
+    """
+
+    bands: dict[str, tuple[Band, ...] | dict[Sex, tuple[Band, ...]]]
 
     def __post_init__(self):
-        for feature, bs in self.bands.items():
-            self.bands[feature] = _validate_band_set(feature, tuple(bs))
-        for feature, by_sex in self.bands_by_sex.items():
-            for sex, bs in by_sex.items():
-                by_sex[sex] = _validate_band_set(f"{feature}[{sex.value}]", tuple(bs))
+        object.__setattr__(self, "bands", {
+            feature: {sex: _validate_band_set(f"{feature}[{sex.value}]", tuple(bs))
+                      for sex, bs in entry.items()}
+            if isinstance(entry, dict) else _validate_band_set(feature, tuple(entry))
+            for feature, entry in self.bands.items()})
 
     def band_set_for(self, feature: str, profile: DriverProfile) -> tuple[Band, ...] | None:
-        if feature in self.bands_by_sex:
-            by_sex = self.bands_by_sex[feature]
-            return by_sex.get(profile.sex)
-        return self.bands.get(feature)
+        """The feature's band set for this driver, or None if the table has none."""
+        entry = self.bands.get(feature)
+        return entry.get(profile.sex) if isinstance(entry, dict) else entry
 
     def all_labels(self) -> dict[str, frozenset[str]]:
-        """Every label the scheme can emit, per feature."""
-        out: dict[str, set[str]] = {}
-        for feature, bs in self.bands.items():
-            out.setdefault(feature, set()).update(b.label for b in bs)
-        for feature, by_sex in self.bands_by_sex.items():
-            for bs in by_sex.values():
-                out.setdefault(feature, set()).update(b.label for b in bs)
-        return {f: frozenset(labels) for f, labels in out.items()}
+        """Every label the scheme can emit, per feature, over all sexes."""
+        out = {}
+        for feature, entry in self.bands.items():
+            sets = entry.values() if isinstance(entry, dict) else [entry]
+            out[feature] = frozenset(b.label for bs in sets for b in bs)
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,9 +153,9 @@ def _bands_from_json(feature: str, raw) -> tuple[Band, ...]:
     return tuple(bands)
 
 
-def _scheme_from_mapping(obj: dict) -> QualificationScheme:
-    plain: dict[str, tuple[Band, ...]] = {}
-    by_sex: dict[str, dict[Sex, tuple[Band, ...]]] = {}
+def _bands_from_mapping(obj: dict) -> dict:
+    """A decoded scheme document's band table, not yet validated."""
+    bands = {}
     for feature, raw in obj.items():
         if feature not in FEATURE_NAMES:
             raise SchemeError(f"unknown feature {feature!r} in scheme")
@@ -168,17 +171,17 @@ def _scheme_from_mapping(obj: dict) -> QualificationScheme:
                 except ValueError:
                     raise SchemeError(f"{feature}: unknown sex {sex_name!r}") from None
                 per_sex[sex] = _bands_from_json(feature, bands_raw)
-            by_sex[feature] = per_sex
+            bands[feature] = per_sex
         else:
-            plain[feature] = _bands_from_json(feature, raw)
-    return QualificationScheme(bands=plain, bands_by_sex=by_sex)
+            bands[feature] = _bands_from_json(feature, raw)
+    return bands
 
 
 @cache
 def default_scheme() -> QualificationScheme:
     """The scheme shipped with the package, read once. Covers every feature."""
-    return _scheme_from_mapping(json.loads(resources.files("fatiguekit").joinpath(
-        "data/default_scheme.json").read_text("utf-8")))
+    return QualificationScheme(_bands_from_mapping(json.loads(resources.files(
+        "fatiguekit").joinpath("data/default_scheme.json").read_text("utf-8"))))
 
 
 def load_scheme(config: bytes | str | None = None) -> QualificationScheme:
@@ -186,25 +189,17 @@ def load_scheme(config: bytes | str | None = None) -> QualificationScheme:
 
     Config shape: {feature: [{label, lower, upper}, ...]} with null bounds
     for unbounded sides; a feature may instead carry
-    {"by_sex": {sex: [...]}}. Features the config omits keep their default
-    band sets. None or empty input returns the default scheme.
+    {"by_sex": {sex: [...]}}. A feature the config names replaces its
+    default table entry whole; features it omits keep theirs. None or empty
+    input returns the default scheme.
     """
     if config is None:
         return default_scheme()
     config = _inputs.text(config, "scheme config")
     if not config.strip():
         return default_scheme()
-    custom = _scheme_from_mapping(_inputs.json_object(config, "scheme config"))
-    base = default_scheme()
-    bands = dict(base.bands)
-    by_sex = {f: dict(t) for f, t in base.bands_by_sex.items()}
-    for feature, bs in custom.bands.items():
-        by_sex.pop(feature, None)
-        bands[feature] = bs
-    for feature, table in custom.bands_by_sex.items():
-        bands.pop(feature, None)
-        by_sex[feature] = dict(table)
-    return QualificationScheme(bands=bands, bands_by_sex=by_sex)
+    custom = _bands_from_mapping(_inputs.json_object(config, "scheme config"))
+    return QualificationScheme({**default_scheme().bands, **custom})
 
 
 def individual_name(feature: str, window_start: float) -> str:
@@ -229,14 +224,13 @@ def qualify(fv: FeatureVector, scheme: QualificationScheme,
         band_set = scheme.band_set_for(feature, profile)
         if band_set is None:
             raise UnboundFeatureError(feature)
-        hits = [b for b in band_set if b.contains(value)]
-        if len(hits) != 1:
-            # validation makes this unreachable for in-range values
-            raise SchemeError(
-                f"{feature}: value {value} matched {len(hits)} bands")
+        # a validated band set tiles its range, so at most one band holds value
+        hit = next((b for b in band_set if b.contains(value)), None)
+        if hit is None:
+            raise SchemeError(f"{feature}: value {value} matched 0 bands")
         facts.append(QualifiedFact(
             individual=individual_name(feature, fv.window_start),
-            class_label=hits[0].label,
+            class_label=hit.label,
             value=float(value),
             window_start=fv.window_start,
             window_end=fv.window_end,

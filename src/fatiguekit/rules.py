@@ -16,6 +16,7 @@ fused into one overall level by a weighted mean of the level encodings.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -368,12 +369,14 @@ def _nearest_level_classes(taxonomy: Taxonomy, cls: str
 
 @dataclass(frozen=True)
 class FusionWeights:
-    """Non-negative weight per source; at least one must be positive."""
+    """Finite, non-negative weight per source; at least one must be positive."""
 
     weights: dict[str, float]
 
     def __post_init__(self):
         for source, w in self.weights.items():
+            if not math.isfinite(w):
+                raise ArgumentError(f"weight for {source!r} must be finite, got {w}")
             if w < 0:
                 raise ArgumentError(f"weight for {source!r} must be >= 0, got {w}")
         if not any(w > 0 for w in self.weights.values()):
@@ -390,21 +393,24 @@ def fuse(levels: dict[str, FatigueLevel],
     """Weighted mean of the level encodings, mapped back to a level.
 
     score < cutoffs[0] reads Low, score >= cutoffs[1] reads High, Medium in
-    between. Weights for sources without a verdict are ignored, so scaling
-    all weights by a positive constant never changes the outcome.
+    between. Weights for sources without a verdict are ignored. Both sums
+    are exact (math.fsum), so the order of the sources never changes the
+    outcome, nor does scaling every weight by a power of two. Another factor
+    can, for a score within rounding of a cutoff, since the scaled weights
+    round.
     """
     if not levels:
         raise EmptyInputError("no per-source levels to fuse")
     if not cutoffs[0] < cutoffs[1]:
         raise ArgumentError(f"cutoffs must increase, got {cutoffs}")
-    total = sum(weights.get(s) for s in levels)
+    total = math.fsum(weights.get(s) for s in levels)
     if total <= 0:
         raise EmptyInputError("all contributing sources have zero weight")
     # Each weight is divided by the total before the levels are summed: equal
     # weights then count exactly 1/n at any scale, so a mean that ties a
     # cutoff (High and Medium at equal weight tie 1.5) reads the same after
     # all weights are scaled. Summing first rounded 3w / 2w either way.
-    score = sum(weights.get(s) / total * int(level) for s, level in levels.items())
+    score = math.fsum(weights.get(s) / total * int(level) for s, level in levels.items())
     if score < cutoffs[0]:
         return FatigueLevel.LOW
     if score < cutoffs[1]:

@@ -56,6 +56,15 @@ CHANNELS = (
 )
 
 
+# The bounded channels: a test of a value or a whole column of values, and
+# the words that name the range in its error.
+_RANGES = {
+    "eye_closure": (lambda v: (v >= 0.0) & (v <= 1.0), "must lie in [0, 1]"),
+    "mouth_open": (lambda v: v >= 0.0, "must be >= 0"),
+    "heart_bpm": (lambda v: (v > 0.0) & (v < 300.0), "must lie in (0, 300)"),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class SignalFrame:
     """One sampling instant, the row record. Channels not sampled are None."""
@@ -86,15 +95,10 @@ class SignalFrame:
                 raise RangeError(name, "must be a number or absent")
             if not math.isfinite(v):
                 raise RangeError(name, f"must be finite, got {v!r}")
-        ec = self.eye_closure
-        if ec is not None and not 0.0 <= ec <= 1.0:
-            raise RangeError("eye_closure", f"must lie in [0, 1], got {ec!r}")
-        mo = self.mouth_open
-        if mo is not None and mo < 0.0:
-            raise RangeError("mouth_open", f"must be >= 0, got {mo!r}")
-        bpm = self.heart_bpm
-        if bpm is not None and not 0.0 < bpm < 300.0:
-            raise RangeError("heart_bpm", f"must lie in (0, 300), got {bpm!r}")
+        for name, (in_range, words) in _RANGES.items():
+            v = getattr(self, name)
+            if v is not None and not in_range(v):
+                raise RangeError(name, f"{words}, got {v!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -328,12 +332,8 @@ class _Rows:
         bad[1:] |= ~(t[1:] > t[:-1])
         for name, (index, v) in columns.items():
             ok = np.isfinite(v)
-            if name == "eye_closure":
-                ok &= (v >= 0.0) & (v <= 1.0)
-            elif name == "mouth_open":
-                ok &= v >= 0.0
-            elif name == "heart_bpm":
-                ok &= (v > 0.0) & (v < 300.0)
+            if name in _RANGES:
+                ok &= _RANGES[name][0](v)
             bad[index[~ok]] = True
         faults = np.flatnonzero(bad)
         if len(faults):

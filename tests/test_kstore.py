@@ -71,6 +71,12 @@ class TestTaxonomy:
             messages.add(proc.stdout.strip())
         assert messages == {"subclass cycle: A -> B -> A"}
 
+    def test_cycle_message_names_only_the_cycle(self):
+        # A leads into the cycle B -> C -> B but is not on it
+        with pytest.raises(ArgumentError, match=r"^subclass cycle: B -> C -> B$"):
+            Taxonomy(classes=frozenset({"A", "B", "C"}),
+                     parents={"A": ("B",), "B": ("C",), "C": ("B",)})
+
     def test_deep_chain_snapshot_round_trip(self):
         # deeper than the interpreter's default recursion limit of 1000
         names = [f"C{i}" for i in range(3000)]

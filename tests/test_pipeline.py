@@ -191,6 +191,11 @@ class TestLoadConfig:
         cfg = cfg_from({"fusion_cutoffs": [0.4, 1.6]})
         assert cfg.fusion_cutoffs == (0.4, 1.6)
 
+    @pytest.mark.parametrize("cutoffs", [[1.5, 0.5], [1.0, 1.0]])
+    def test_cutoffs_must_increase(self, cutoffs):
+        with pytest.raises(DecodeError, match="config fusion_cutoffs must increase"):
+            cfg_from({"fusion_cutoffs": cutoffs})
+
     def test_alert_settings(self):
         cfg = cfg_from({"alert_level": "Medium", "alert_consecutive_windows": 3})
         assert cfg.alert.level is MED

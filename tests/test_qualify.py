@@ -166,16 +166,14 @@ class TestQualify:
 
     def test_unbound_feature(self):
         scheme = QualificationScheme(
-            bands={"max_swa_abs": (Band("Only", None, None),)},
-            bands_by_sex={})
+            bands={"max_swa_abs": (Band("Only", None, None),)})
         fv = FeatureVector(window_start=0.0, window_end=60.0, mean_yaw_abs=0.5)
         with pytest.raises(UnboundFeatureError):
             qualify(fv, scheme, ANON)
 
     def test_sex_band_missing_for_profile(self):
         scheme = QualificationScheme(
-            bands={},
-            bands_by_sex={"mean_bpm": {Sex.MALE: (Band("B", None, None),)}})
+            bands={"mean_bpm": {Sex.MALE: (Band("B", None, None),)}})
         fv = FeatureVector(window_start=0.0, window_end=60.0, mean_bpm=70.0)
         with pytest.raises(UnboundFeatureError):
             qualify(fv, scheme, FEMALE)
@@ -275,6 +273,42 @@ class TestSchemeValidation:
         for feature in FEATURE_NAMES:
             for profile in (MALE, FEMALE, ANON):
                 assert scheme.band_set_for(feature, profile) is not None
+
+
+class TestOneBandTable:
+    def test_constructor_leaves_the_callers_table_as_given(self):
+        low, high = Band("Low", 0.0, 6.0), Band("High", 6.0, None)
+        plain, per_sex = [high, low], [Band("B", None, None)]
+        by_sex = {Sex.MALE: per_sex}
+        table = {"max_swa_abs": plain, "mean_bpm": by_sex}
+        scheme = QualificationScheme(bands=table)
+        assert table == {"max_swa_abs": [high, low], "mean_bpm": {Sex.MALE: [Band("B", None, None)]}}
+        assert table["max_swa_abs"] is plain and table["mean_bpm"] is by_sex
+        assert by_sex[Sex.MALE] is per_sex
+        # the scheme holds its own validated table of sorted tuples
+        assert scheme.bands == {"max_swa_abs": (low, high),
+                                "mean_bpm": {Sex.MALE: (Band("B", None, None),)}}
+        assert scheme.bands is not table and scheme.bands["mean_bpm"] is not by_sex
+
+    def test_load_scheme_leaves_the_default_table_as_given(self):
+        default = default_scheme()
+        before = {f: dict(e) if isinstance(e, dict) else e for f, e in default.bands.items()}
+        scheme = load_scheme(json.dumps({"max_swa_abs": [
+            {"label": "Tame", "lower": 0, "upper": 20},
+            {"label": "Wild", "lower": 20, "upper": None}]}))
+        # the merged table shares no mapping with the default it was filled from
+        assert scheme.bands["mean_bpm"] == default.bands["mean_bpm"]
+        assert scheme.bands["mean_bpm"] is not default.bands["mean_bpm"]
+        scheme.bands["mean_bpm"][Sex.MALE] = ()
+        assert default.bands == before
+        assert default_scheme() is default
+
+    def test_by_sex_feature_is_one_table_entry(self):
+        entry = default_scheme().bands["mean_bpm"]
+        assert set(entry) == set(Sex)
+        for sex in Sex:
+            assert default_scheme().band_set_for("mean_bpm", DriverProfile("d", sex)) \
+                is entry[sex]
 
 
 def one_bpm_label(scheme, profile):

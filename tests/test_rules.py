@@ -1,6 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatiguekit import (
@@ -402,6 +405,39 @@ class TestFusion:
     def test_unanimity(self, level, n):
         levels = {f"S{i}": level for i in range(n)}
         assert fuse(levels, WEIGHTS, CUTOFFS) is level
+
+
+class TestFusionOrder:
+    """fuse is a function of its levels and weights: the order in which the
+    sources arrive, which for read_fatigue follows the string hash seed,
+    never changes the fused level."""
+
+    def test_three_sources_fuse_alike_in_every_order(self):
+        levels = {"A": FatigueLevel.HIGH, "B": FatigueLevel.MEDIUM, "C": FatigueLevel.MEDIUM}
+        weights = FusionWeights({"A": 0.3, "B": 0.1, "C": 0.2})
+        # the score is 0.5 * 2 + (1/6 + 2/6) * 1 = 1.5, on the High cutoff
+        for order in itertools.permutations(levels):
+            assert fuse({s: levels[s] for s in order}, weights, CUTOFFS) is FatigueLevel.HIGH
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(FatigueLevel)),
+                              st.floats(min_value=0.001, max_value=1000.0)),
+                    min_size=3, max_size=5))
+    @example([(FatigueLevel.HIGH, 0.3), (FatigueLevel.MEDIUM, 0.1),
+              (FatigueLevel.MEDIUM, 0.2)])
+    def test_any_sources_fuse_alike_in_every_order(self, sources):
+        levels = {f"S{i}": level for i, (level, _) in enumerate(sources)}
+        weights = FusionWeights({f"S{i}": w for i, (_, w) in enumerate(sources)})
+        fused = {fuse({s: levels[s] for s in order}, weights, CUTOFFS)
+                 for order in itertools.permutations(levels)}
+        assert len(fused) == 1
+
+
+class TestFusionWeights:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ArgumentError, match="weight for 'A' must be finite"):
+            FusionWeights(weights={"A": bad, "B": 1.0})
 
 
 def _reading(fb):
