@@ -8,6 +8,11 @@ from those fields. Extractors are independent so a trace missing, say, the
 camera channels still yields the vehicular features. A value that overflows
 float64 on finite samples is left absent and noted, never reported.
 
+Approximate entropy, the costliest feature, counts its template matches
+exactly with bitsets, 64 samples to a word (_phi_pair). It counts set bits
+with np.bitwise_count on numpy >= 2.0, and with bit-parallel integer steps
+on older numpy, which is slower but gives the same counts.
+
 Eyelid and mouth episodes come from the edges of a boolean mask in one
 numpy pass (_hold_runs); the head-pitch EWMA and the debounced steering
 correction count are the loops that still step sample by sample.
@@ -82,16 +87,40 @@ class FeatureParams:
 _DEFAULT_PARAMS = FeatureParams()
 
 
-# Elements of one block of the near matrix (rows x series length): a
-# block's uint16 rank differences take 512 KiB and its boolean near and
-# match arrays 256 KiB each. Of the powers of two from 2**15 to 2**20 this
-# was fastest at n = 1000, 2000 and 6000 on a 2-vCPU Xeon VM with one
-# thread; 2**19 and 2**20 were up to 40% slower there and no faster at 600.
-_BLOCK_ELEMENTS = 1 << 18
+# Budgets of the bitset kernel (see _phi_pair), in uint64 words. A column
+# block's prefix table takes at most _PREFIX_WORDS (8 MiB): a series of up
+# to about 8 100 samples fits in one block; at n = 20 000 seven blocks keep
+# the call's peak near 10 MB, where one table would take 50 MB. A row
+# block's near rows take about _ROW_WORDS (128 KiB). On a 2-vCPU Xeon VM
+# with one thread, prefix budgets of 2**19 and 2**20 words ran alike up to
+# n = 2000, and 2**20 ran 10-25% faster at 6000 and 20 000. Row budgets
+# from 2**13 to 2**16 words ran alike, 2**11 up to twice as slow, and 2**15
+# raised the peak RSS of a process running 2 000-sample windows by 0.7 MB.
+_PREFIX_WORDS = 1 << 20
+_ROW_WORDS = 1 << 14
 
-# Longest series whose ranks are compared in uint16 (see _phi_pair); longer
-# ones use uint32.
-_UINT16_MAX_N = 2**16 - 1
+
+_M1, _M2, _M4 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
+                                         0x0F0F0F0F0F0F0F0F))
+
+
+def _popcounts_swar(words: np.ndarray) -> np.ndarray:
+    """Set bits in each row of a 2-D uint64 array without np.bitwise_count:
+    each byte's count by the bit-parallel steps of Hacker's Delight 5-1,
+    then each row's bytes summed. 4-5 times as fast as np.unpackbits."""
+    x = words - ((words >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x += x >> np.uint64(4)
+    x &= _M4
+    return x.view(np.uint8).sum(axis=1, dtype=np.intp)
+
+
+if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+    def _popcounts(words: np.ndarray) -> np.ndarray:
+        """Set bits in each row of a 2-D uint64 array."""
+        return np.bitwise_count(words).sum(axis=1, dtype=np.intp)
+else:
+    _popcounts = _popcounts_swar
 
 
 def _near_ranges(x: np.ndarray, xs: np.ndarray, r: float
@@ -122,6 +151,16 @@ def _near_ranges(x: np.ndarray, xs: np.ndarray, r: float
     return lo, hi
 
 
+def _shifted(rows: np.ndarray, k: int, cols: int) -> np.ndarray:
+    """The first `cols` words of bitset rows moved down k bits: bit j takes
+    bit j + k, carried across words (rows holds ceil(k/64) words more)."""
+    q, b = divmod(k, 64)
+    if b == 0:
+        return rows[:, q:q + cols]
+    return ((rows[:, q:q + cols] >> np.uint64(b))
+            | (rows[:, q + 1:q + 1 + cols] << np.uint64(64 - b)))
+
+
 def _phi_pair(x: np.ndarray, m: int, r: float) -> tuple[float, float]:
     """phi_m and phi_{m+1}: mean log correlation sums over the templates of
     length m and m + 1.
@@ -129,51 +168,67 @@ def _phi_pair(x: np.ndarray, m: int, r: float) -> tuple[float, float]:
     Templates i and j match when |x[i+k] - x[j+k]| <= r for every offset k
     (Chebyshev distance, self-match included, so every count is >= 1).
 
-    The near predicate |x_i - x_j| <= r is rank coded: with rank[j] the
-    position of x_j in a stable sort of x, and [lo_i, lo_i + width_i) the
-    exact range of sorted positions near x_i (see _near_ranges), x_j is
-    near x_i exactly when (rank[j] - lo_i) mod 2**16 < width_i. A rank
-    below lo_i wraps to at least 2**16 - lo_i >= 2**16 - n + width_i, since
-    lo_i + width_i <= n, and that is >= width_i while n <= 2**16; ranks,
-    lo_i and width_i <= n must also fit, so uint16 serves up to
-    n = 2**16 - 1 and uint32 above. One unsigned subtract and compare on
-    2-byte ranks replaces a float64 subtract, abs and compare, and each
-    row's matches are counted by summing its bytes in the rank dtype.
+    Sets of samples are bitsets over the sample index j, bit j % 64 of
+    uint64 word j // 64. With order the stable argsort of x and [lo_i, hi_i)
+    the exact range of sorted positions near x_i (see _near_ranges), the
+    samples near x_i are {order[p] : lo_i <= p < hi_i}. So with prefix[p]
+    the set {order[q] : q < p}, built once as a cumulative OR of one-hot
+    rows, near row i is prefix[hi_i] ^ prefix[lo_i]: two row gathers and an
+    XOR on n / 64 words, where a compare takes n elements.
 
-    The near matrix is built a block of template rows at a time, only rows
-    [a, b + m) for template rows [a, b): the m-matches are the AND of its
-    first m diagonal shifts, and the (m+1)-matches AND one more shift onto
-    those. Peak memory is O(block * n), not O(n^2). The counts are exact
-    integers, so the result depends on neither the block size nor the rank
-    coding. On a 2-vCPU Xeon VM one call at m = 2 on a random walk takes
-    about 0.9 ms at n = 600, 5.6 ms at 2000 and 30 ms at 6000, against 2.1,
-    16 and 102 ms for the float64 compare.
+    Template j matches template i at offset k when bit j + k of near row
+    i + k is set, so near row i + k moved down k bits (_shifted) lines
+    offset k up for every j at once. The m-matches of template i are the
+    AND of its first m shifted rows and the (m+1)-matches AND one more,
+    counted by popcount. No mask is needed: a row moved down k bits holds
+    no bit at or past n - k, so only templates j <= n - m (j <= n - m - 1
+    for m + 1) survive the AND.
+
+    The prefix table is built a column block of words at a time, each with
+    ceil(m / 64) spill words for the shifts to carry from, and the near rows
+    are gathered a row block at a time, within the word budgets
+    _PREFIX_WORDS and _ROW_WORDS, so memory stays bounded for any n. The
+    counts are exact integers, so the result does not depend on the blocks
+    and is == that of a float64 compare. On a 2-vCPU Xeon VM with numpy 2.4,
+    one call at m = 2 on a random walk takes about 0.33 ms at n = 600,
+    1.9 ms at 2000 and 9.4 ms at 6000, against 0.48, 4.0 and 18 ms for a
+    compare of uint16 sort ranks, one byte per pair. _popcounts_swar, the
+    count taken on numpy < 2.0, made a call 1.4 to 1.8 times as long when
+    put in place of np.bitwise_count there.
     """
     n = len(x)
     count_m, count_m1 = n - m + 1, n - m
-    dtype = np.uint16 if n <= _UINT16_MAX_N else np.uint32
     order = np.argsort(x, kind="stable")
     lo, hi = _near_ranges(x, x[order], r)
-    rank = np.empty(n, dtype=dtype)
-    rank[order] = np.arange(n, dtype=dtype)
-    width = (hi - lo).astype(dtype)[:, None]
-    lo = lo.astype(dtype)[:, None]
-    c_m = np.empty(count_m, dtype=np.intp)
-    c_m1 = np.empty(count_m1, dtype=np.intp)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    for a in range(0, count_m, rows):
-        b = min(a + rows, count_m)
-        e = min(b + m, n)
-        near = (rank - lo[a:e]) < width[a:e]
-        match = near[:b - a, :count_m].copy()
-        for k in range(1, m):
-            match &= near[k:k + b - a, k:k + count_m]
-        c_m[a:b] = match.view(np.uint8).sum(axis=1, dtype=dtype)
-        b1 = min(b, count_m1)
-        if a < b1:
-            match = match[:b1 - a, :count_m1]
-            match &= near[m:m + b1 - a, m:m + count_m1]
-            c_m1[a:b1] = match.view(np.uint8).sum(axis=1, dtype=dtype)
+    word, bit = np.divmod(order, 64)
+    one_hot = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+    words, spill = -(-n // 64), -(-m // 64)
+    cols = max(1, min(words, _PREFIX_WORDS // (n + 1) - spill))
+    rows = max(1, _ROW_WORDS // (cols + spill))
+    c_m = np.zeros(count_m, dtype=np.intp)
+    c_m1 = np.zeros(count_m1, dtype=np.intp)
+    table = np.empty((n + 1, cols + spill), dtype=np.uint64)
+    for w0 in range(0, words, cols):
+        width = min(cols, words - w0)
+        # prefix[p] is the set {order[q] : q < p} on words [w0, w0 + width + spill)
+        prefix = table[:, :width + spill]
+        prefix.fill(0)
+        inside = np.flatnonzero((word >= w0) & (word < w0 + width + spill))
+        prefix[inside + 1, word[inside] - w0] = one_hot[inside]
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        for a in range(0, count_m, rows):
+            b = min(a + rows, count_m)
+            e = min(b + m, n)
+            near = prefix[hi[a:e]] ^ prefix[lo[a:e]]
+            match = near[:b - a, :width].copy()
+            for k in range(1, m):
+                match &= _shifted(near[k:k + b - a], k, width)
+            c_m[a:b] += _popcounts(match)
+            b1 = min(b, count_m1)
+            if a < b1:
+                match = match[:b1 - a]
+                match &= _shifted(near[m:m + b1 - a], m, width)
+                c_m1[a:b1] += _popcounts(match)
     return (float(np.mean(np.log(c_m / count_m))),
             float(np.mean(np.log(c_m1 / count_m1))))
 

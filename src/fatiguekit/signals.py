@@ -28,7 +28,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -290,14 +290,22 @@ class _Rows:
         if len(self.loose) >= _CHUNK_ROWS * len(self.names):
             self._seal()
 
-    def add_block(self, cells: list[str], is_set: bytearray, rows: list[int]):
-        """Frames given as their cell texts, every set cell a number and
-        every other one "0". Adds nothing if a cell is not a number.
+    def add_block(self, cells: list[str], rows: Iterable[int]):
+        """Frames given as their cell texts in row order, a blank cell unset
+        and every other one a number. Adds nothing if a set cell is not a
+        number.
 
         Raises:
-            ValueError: a cell float() does not take.
+            ValueError: a set cell float() does not take.
         """
-        block = np.array(cells, dtype=float)  # float() on each cell
+        if "" in cells:
+            is_set = bytes(map(bool, cells))
+            block = np.zeros(len(cells))
+            block[np.frombuffer(is_set, dtype=bool)] = np.array(
+                list(filter(None, cells)), dtype=float)  # float() on each set cell
+        else:
+            is_set = b"\x01" * len(cells)
+            block = np.array(cells, dtype=float)  # float() on each cell
         self._seal()
         self.blocks.append(block)
         self.set += is_set
@@ -376,31 +384,23 @@ def _add_csv_row(out: _Rows, header: list[str], row: int, cells: list[str]):
     out.add(row, values)
 
 
-def _add_csv_chunk(out: _Rows, header: list[str], chunk: list[tuple[int, list[str]]]):
-    """Rows in file order. When each is a frame whose set cells are plain
-    numbers, as in a well-formed file, their cells are converted at once;
-    otherwise row by row, which finds the first faulty row."""
+def _add_csv_chunk(out: _Rows, header: list[str], first: int, chunk: list[list[str]]):
+    """Rows in file order, the first of them row `first`. When each is a
+    frame whose set cells are plain numbers, as in a well-formed file,
+    their cells are converted at once; otherwise row by row, which finds
+    the first faulty row."""
     width = len(header)
     t_at = header.index("t")
-    all_set = b"\x01" * width
-    texts: list[str] = []
-    is_set = bytearray()
-    for _, cells in chunk:
+    for cells in chunk:
         if len(cells) != width or not cells[t_at]:
             break
-        if "" in cells:
-            is_set.extend(map(bool, cells))
-            texts.extend([c or "0" for c in cells])
-        else:
-            is_set += all_set
-            texts += cells
     else:
         try:
-            out.add_block(texts, is_set, [row for row, _ in chunk])
+            out.add_block(list(chain.from_iterable(chunk)), range(first, first + len(chunk)))
             return
         except ValueError:  # padded or non-numeric cells
             pass
-    for row, cells in chunk:
+    for row, cells in enumerate(chunk, start=first):
         _add_csv_row(out, header, row, cells)
 
 
@@ -420,11 +420,12 @@ def _parse_csv(text: str) -> Trace:
         raise DecodeError("duplicate column in header")
 
     out = _Rows(tuple(header))
-    rows = enumerate(reader, start=1)
+    first = 1  # row number of the chunk's first row
     error = None
     try:
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            _add_csv_chunk(out, header, chunk)
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            _add_csv_chunk(out, header, first, chunk)
+            first += len(chunk)
     except Exception as e:
         error = e
     return out.finish(error)

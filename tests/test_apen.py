@@ -175,10 +175,19 @@ def _series(kind: str, n: int, seed: int) -> tuple[np.ndarray, float]:
     return x, 0.2 * float(np.std(x))
 
 
+def _force_blocks(monkeypatch, n: int, m: int, rows: int, cols: int | None = None):
+    """Budgets that make the bitset kernel take `rows` templates per row
+    block and `cols` words (all of them if None) per column block."""
+    spill = -(-m // 64)
+    cols = cols or -(-n // 64)
+    monkeypatch.setattr(features, "_PREFIX_WORDS", (n + 1) * (cols + spill))
+    monkeypatch.setattr(features, "_ROW_WORDS", rows * (cols + spill))
+
+
 class TestBlockedKernel:
-    """The row-blocked, rank-coded kernel counts the same integer matches as
-    the dense float64 reference and takes the same steps after, so results
-    must be == equal whatever the block size and the rank dtype."""
+    """The blocked bitset kernel counts the same integer matches as the
+    dense float64 reference and takes the same steps after, so results
+    must be == equal whatever the row and column blocks."""
 
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -196,7 +205,7 @@ class TestBlockedKernel:
         # n - m + 1 templates: one below, at and one above four blocks; at
         # +1 the last block holds an m-template but no (m+1)-template
         n = 4 * rows + edge + m - 1
-        monkeypatch.setattr(features, "_BLOCK_ELEMENTS", rows * n)
+        _force_blocks(monkeypatch, n, m, rows)
         for kind in ("continuous", "tied"):
             x, r = _series(kind, n, seed=rows + m)
             assert approximate_entropy(x, ApEnParams(m=m, r=r)) == apen_dense(x, m, r)
@@ -214,19 +223,68 @@ class TestBlockedKernel:
                 continue
             want = apen_dense(x, m, r)
             for rows in (1, 7, 256):
-                monkeypatch.setattr(features, "_BLOCK_ELEMENTS", rows * n)
-                assert approximate_entropy(x, ApEnParams(m=m, r=r)) == want, (n, m, rows)
+                for cols in (1, None):
+                    _force_blocks(monkeypatch, n, m, rows, cols)
+                    assert approximate_entropy(x, ApEnParams(m=m, r=r)) == want, \
+                        (n, m, rows, cols)
 
-    def test_peak_memory_is_blocked(self):
-        # the dense n x n x (m+1) tensor needs about 860 MB at n = 6000
-        x, _ = _series("continuous", 6000, seed=6000)
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (63, 64, 65, 127, 128, 129)
+                                     for m in (1, 2, 3, 70) if n >= m + 2])
+    def test_word_edges(self, monkeypatch, n, m, kind):
+        # series about one and two 64-bit words long; at m = 70 the template
+        # offsets 64 to 70 shift whole words and carry from a second spill word
+        x, r = _series(kind, n, seed=n * m)
+        want = apen_dense(x, m, r)
+        assert approximate_entropy(x, ApEnParams(m=m, r=r)) == want
+        for rows, cols in ((1, 1), (3, 1), (5, 2), (64, 1)):
+            _force_blocks(monkeypatch, n, m, rows, cols)
+            assert approximate_entropy(x, ApEnParams(m=m, r=r)) == want, (rows, cols)
+
+    @staticmethod
+    def _peak_bytes(n: int) -> int:
+        x, _ = _series("continuous", n, seed=n)
         tracemalloc.start()
         try:
             approximate_entropy(x, ApEnParams(m=2))
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+
+    def test_peak_memory_is_blocked(self):
+        # the dense n x n x (m+1) tensor needs about 860 MB at n = 6000
+        assert self._peak_bytes(6000) < 64 * 2**20
+
+    def test_prefix_table_is_column_blocked(self):
+        # one prefix table over all n + 1 positions and n bits would take
+        # n**2 / 8 bytes, 50 MB at n = 20000
+        assert self._peak_bytes(20000) < 16 * 2**20
+
+
+class TestPopcount:
+    """The bit-parallel count, which numpy < 2.0 uses, and the kernel on it."""
+
+    @pytest.mark.parametrize("m", [1, 2, 70])
+    def test_kernel_on_swar_count(self, monkeypatch, m):
+        monkeypatch.setattr(features, "_popcounts", features._popcounts_swar)
+        for kind in ("continuous", "tied"):
+            x, r = _series(kind, 700, seed=m)
+            assert approximate_entropy(x, ApEnParams(m=m, r=r)) == apen_rowwise(x, m, r)
+
+    def test_counts_equal_python_counts(self):
+        # _popcounts is np.bitwise_count on numpy >= 2.0
+        rng = np.random.default_rng(64)
+        words = rng.integers(0, 2**64, size=(50, 9), dtype=np.uint64, endpoint=False)
+        words[0] = 0
+        words[1] = 2**64 - 1
+        words[2] = 0
+        words[2, ::2] = 2**64 - 1
+        words[3] = 0xAAAAAAAAAAAAAAAA
+        words[4] = [1 << (7 * k) for k in range(9)]
+        want = [sum(bin(int(w)).count("1") for w in row) for row in words]
+        assert want[:5] == [0, 64 * 9, 64 * 5, 32 * 9, 9]
+        assert features._popcounts_swar(words).tolist() == want
+        assert features._popcounts(words).tolist() == want
 
 
 def _tenths(n: int, seed: int) -> np.ndarray:
@@ -237,8 +295,8 @@ def _tenths(n: int, seed: int) -> np.ndarray:
 
 
 class TestRankCoding:
-    """The exact near ranges behind the rank coding, and the kernel on the
-    series where a naive range would be wrong."""
+    """The exact near ranges of sorted positions behind the prefix bitsets,
+    and the kernel on the series where a naive range would be wrong."""
 
     @staticmethod
     def _check_ranges(x, r):
@@ -278,26 +336,3 @@ class TestRankCoding:
         self._check_ranges(x, 0.1)
         for m in (1, 2, 3):
             assert approximate_entropy(x, ApEnParams(m=m, r=0.1)) == apen_rowwise(x, m, 0.1)
-
-    def test_uint16_wrap_is_exact_at_the_limit(self):
-        # (rank - lo) mod 2**16 < width iff lo <= rank < lo + width, for
-        # every rank of the longest series ranked in uint16
-        n = features._UINT16_MAX_N
-        rng = np.random.default_rng(65535)
-        lo = np.concatenate(([0, 0, 0, n - 1, 1, n // 2], rng.integers(0, n, size=26)))
-        width = np.concatenate(([n, 1, n // 2, 1, n - 1, n - n // 2],
-                                rng.integers(1, n - lo[6:] + 1)))
-        rank = np.arange(n)
-        want = (lo[:, None] <= rank) & (rank < (lo + width)[:, None])
-        near = (rank.astype(np.uint16) - lo.astype(np.uint16)[:, None]
-                ) < width.astype(np.uint16)[:, None]
-        assert np.array_equal(near, want)
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_uint32_ranks(self, monkeypatch, m):
-        monkeypatch.setattr(features, "_UINT16_MAX_N", 0)
-        for kind in ("continuous", "tied"):
-            x, r = _series(kind, 700, seed=m)
-            assert approximate_entropy(x, ApEnParams(m=m, r=r)) == apen_dense(x, m, r)
-        x = _tenths(700, seed=m)
-        assert approximate_entropy(x, ApEnParams(m=m, r=0.1)) == apen_dense(x, m, 0.1)

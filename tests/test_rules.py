@@ -391,8 +391,15 @@ class TestFusion:
         st.sampled_from(list(FatigueLevel)), min_size=1, max_size=3),
         st.lists(st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
                  min_size=3, max_size=3),
-        st.floats(min_value=0.001, max_value=1000.0, allow_nan=False))
-    def test_scaling_invariance(self, levels, raw_weights, factor):
+        st.integers(min_value=-10, max_value=10))
+    # a score of 0.4999999999999999 from weights that, times 19, round to
+    # exactly the 0.5 cutoff: a power of two scales them exactly
+    @example({"YawAngle": FatigueLevel.LOW, "Third": FatigueLevel.MEDIUM},
+             [1.0, 0.010000000000000002, 0.01], 4)
+    def test_scaling_invariance(self, levels, raw_weights, exponent):
+        # fuse promises invariance under power-of-two factors only; another
+        # factor rounds the scaled weights and can move a score off a cutoff
+        factor = 2.0 ** exponent
         names = ["SteeringWheel", "YawAngle", "Third"]
         base = FusionWeights(weights=dict(zip(names, raw_weights)))
         scaled = FusionWeights(

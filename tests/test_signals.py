@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fatiguekit import (
     serialize_trace,
     simple_spec,
 )
+from fatiguekit import signals
 
 
 def frames_gapped(t0, n, dt, **channels):
@@ -429,24 +431,42 @@ def jsonl_text(rows, injected, sep):
     return sep.join(lines)
 
 
+# Rows to a chunk: the parser's own, and three, so that sparse rows, padded
+# cells and faults also fall in later chunks, and chunks converted at once
+# follow chunks read row by row.
+CHUNK_ROWS = st.sampled_from([signals._CHUNK_ROWS, 3])
+
+
+@contextmanager
+def chunk_rows(rows: int):
+    """signals._CHUNK_ROWS set to `rows` within the block. Not a fixture:
+    hypothesis runs a test body many times under one function-scoped
+    fixture."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signals, "_CHUNK_ROWS", rows)
+        yield
+
+
 class TestParseMatchesRowwiseOracle:
-    @settings(max_examples=60, deadline=None)
-    @given(traces())
-    def test_valid_traces_give_equal_frames(self, frames):
+    @settings(max_examples=120, deadline=None)
+    @given(traces(), CHUNK_ROWS)
+    def test_valid_traces_give_equal_frames(self, frames, rows):
         for fmt, oracle in (("csv", parse_csv_rowwise), ("jsonl", parse_jsonl_rowwise)):
             text = serialize_trace(frames, fmt).decode()
-            parsed = parse_trace(text, fmt)
+            with chunk_rows(rows):
+                parsed = parse_trace(text, fmt)
             assert isinstance(parsed, Trace)
             assert list(parsed) == oracle(text) == frames
             assert len(parsed) == len(frames)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(fault_records(CSV_FAULTS), st.permutations(FAULT_COLUMNS),
-           st.sampled_from(["\n", "\r\n", "\r"]))
-    def test_csv_faults_raise_as_the_oracle(self, case, order, sep):
+           st.sampled_from(["\n", "\r\n", "\r"]), CHUNK_ROWS)
+    def test_csv_faults_raise_as_the_oracle(self, case, order, sep, rows):
         text = csv_text(*case, order, sep)
-        assert outcome(lambda x: parse_trace(x, "csv"), text) == \
-            outcome(parse_csv_rowwise, text)
+        with chunk_rows(rows):
+            got = outcome(lambda x: parse_trace(x, "csv"), text)
+        assert got == outcome(parse_csv_rowwise, text)
 
     @settings(max_examples=300, deadline=None)
     @given(fault_records(JSONL_FAULTS),
