@@ -98,10 +98,11 @@ class RuleSyntaxError(FatigueKitError):
 class DuplicateRuleNameError(FatigueKitError):
     """Two rules in one pack share a name."""
 
-    def __init__(self, name: str, *, line: int):
+    def __init__(self, name: str, *, line: int | None = None):
         self.name = name
         self.line = line
-        super().__init__(f"duplicate rule name {name!r} (line {line})")
+        where = f" (line {line})" if line is not None else ""
+        super().__init__(f"duplicate rule name {name!r}{where}")
 
 
 class AmbiguityError(FatigueKitError):

@@ -4,8 +4,9 @@ Per window the pipeline gathers the feature families' fields, builds the
 window's one FeatureVector from them, qualifies it into facts, builds a
 fresh fact base seeded with the taxonomy and one anchor individual per
 verdict source, runs the rule pack to fixpoint, reads the per-source levels
-and fuses them into an overall level. Alerts follow a consecutive-windows
-policy over the overall levels.
+and fuses them into an overall level. A window's snapshot, when one is due,
+is written as the window closes. Alerts follow a consecutive-windows policy
+over the overall levels.
 
 Everything is deterministic: the same trace and config produce the same
 report bytes and the same snapshot bytes.
@@ -14,6 +15,7 @@ report bytes and the same snapshot bytes.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -77,10 +79,10 @@ class PipelineConfig:
     trace_id: str
 
     def __post_init__(self):
-        if self.window_length_s <= 0 or self.window_stride_s <= 0:
-            raise ArgumentError("window length and stride must be positive")
-        if self.perclos_window_s <= 0:
-            raise ArgumentError("perclos window must be positive")
+        for name in ("window_length_s", "window_stride_s", "perclos_window_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ArgumentError(f"{name} must be finite and positive, got {value}")
         if self.snapshot_every_windows < 1:
             raise ArgumentError("snapshot cadence must be >= 1")
 
@@ -271,8 +273,10 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     window; each vehicular window picks up the latest closure window that
     has fully elapsed by its end. Windows missing channels still produce a
     degraded record with whatever features ran, flagged under "errors".
-    Snapshots of the post-inference fact base are written every
-    `snapshot_every_windows` windows when a snapshot directory is set.
+    When a snapshot directory is set, the post-inference fact base of every
+    `snapshot_every_windows`-th window is written as that window closes, so
+    a run that raises part-way leaves the snapshots of the windows before
+    the fault.
     """
     if cfg is None:
         cfg = load_config()
@@ -280,8 +284,11 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     perclos_ends, perclos_values = _perclos_by_window_end(trace, cfg)
     anchors = ontology().anchors
 
+    out_dir = None if cfg.snapshot_dir is None else Path(cfg.snapshot_dir)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+
     records: list[WindowRecord] = []
-    snapshots: list[tuple[int, KnowledgeSnapshot]] = []
     for index, w in enumerate(windows):
         fields, notes = extract_features(w, cfg.feature_params)
         # the freshest fully elapsed closure window, if any, replaces the
@@ -291,15 +298,13 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
 
         facts = tuple(qualify(fv, cfg.scheme, cfg.profile))
 
-        # one build per window; a repeated (individual, property) keeps the
-        # last value, as assert_value would
+        # qualify emits at most one fact per feature, so no (individual,
+        # property) pair repeats; FactBase rejects a pair given two values
         members = {(individual_name(name, w.start_t), cls) for name, cls in anchors.items()}
-        values: dict[tuple[str, str], float] = {}
-        for fact in facts:
-            members.add((fact.individual, fact.class_label))
-            values[fact.individual, f"has_{fact.source_feature}"] = fact.value
+        members.update((f.individual, f.class_label) for f in facts)
         fb = FactBase(taxonomy=cfg.taxonomy, memberships=frozenset(members),
-                      data_properties=frozenset((i, p, v) for (i, p), v in values.items()),
+                      data_properties=frozenset((f.individual, f"has_{f.source_feature}", f.value)
+                                                for f in facts),
                       timestamp=w.end_t)
 
         fb, fired = infer(fb, cfg.rule_pack)
@@ -316,20 +321,12 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
             window=w, features=fv, facts=facts, fired_rules=tuple(fired),
             levels=levels, overall=overall, alert=False, errors=tuple(notes)))
 
-        if cfg.snapshot_dir is not None and index % cfg.snapshot_every_windows == 0:
-            snapshots.append((index, KnowledgeSnapshot(
-                factbase=fb, trace_id=cfg.trace_id,
-                window=(w.start_t, w.end_t))))
+        if out_dir is not None and index % cfg.snapshot_every_windows == 0:
+            (out_dir / f"window_{index:05d}.snapshot.json").write_bytes(save_snapshot(
+                KnowledgeSnapshot(factbase=fb, trace_id=cfg.trace_id,
+                                  window=(w.start_t, w.end_t))))
 
     alert_at = set(decide([r.overall for r in records], cfg.alert))
     records = [r if i not in alert_at else replace(r, alert=True)
                for i, r in enumerate(records)]
-
-    if cfg.snapshot_dir is not None:
-        out_dir = Path(cfg.snapshot_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for index, snap in snapshots:
-            path = out_dir / f"window_{index:05d}.snapshot.json"
-            path.write_bytes(save_snapshot(snap))
-
     return FatigueReport(records=tuple(records))

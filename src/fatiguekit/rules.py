@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from importlib import resources
 
@@ -31,7 +31,7 @@ from .errors import (
     RuleSyntaxError,
     UnknownClassError,
 )
-from .kstore import FactBase, Taxonomy, assert_fact, default_taxonomy, ontology, query_class
+from .kstore import FactBase, Taxonomy, default_taxonomy, ontology, query_class
 from .qualify import QualificationScheme
 
 
@@ -89,7 +89,7 @@ class RulePack:
         seen = set()
         for r in self.rules:
             if r.name in seen:
-                raise DuplicateRuleNameError(r.name, line=0)
+                raise DuplicateRuleNameError(r.name)
             seen.add(r.name)
 
     def names(self) -> tuple[str, ...]:
@@ -290,28 +290,28 @@ def infer(fb: FactBase, pack: RulePack) -> tuple[FactBase, list[FiredRule]]:
     """Run the pack to fixpoint.
 
     Every iteration applies every rule whose conditions hold (conditions are
-    read subclass-closed) and asserts the conclusion for every entailed
-    anchor individual. Only new memberships are logged. Conditions are
-    positive, so the fixpoint is unique whatever the application order.
+    read subclass-closed) to every entailed anchor individual, then adds the
+    iteration's new memberships in one fact-base build. A membership two
+    rules conclude in one iteration is logged once, under the first rule in
+    pack order. Conditions are positive, so the fixpoint is unique whatever
+    the application order.
     """
     iteration = 0
     log: list[FiredRule] = []
     while True:
         iteration += 1
-        new: list[tuple[str, str, str]] = []  # (rule, individual, class)
+        new: dict[tuple[str, str], str] = {}  # (individual, class) -> first rule
         for rule in pack.rules:
             if not all(query_class(fb, c) for c in rule.conditions):
                 continue
             for ind in sorted(query_class(fb, rule.anchor_class)):
                 if (ind, rule.conclusion_class) not in fb.memberships:
-                    new.append((rule.name, ind, rule.conclusion_class))
+                    new.setdefault((ind, rule.conclusion_class), rule.name)
         if not new:
             return fb, log
-        for rule_name, ind, cls in new:
-            if (ind, cls) in fb.memberships:
-                continue  # another rule added it this same iteration
-            fb = assert_fact(fb, ind, cls)
-            log.append(FiredRule(rule=rule_name, individual=ind, iteration=iteration))
+        fb = replace(fb, memberships=fb.memberships.union(new))
+        log.extend(FiredRule(rule=name, individual=ind, iteration=iteration)
+                   for (ind, _), name in new.items())
 
 
 def read_fatigue(fb: FactBase) -> dict[str, FatigueLevel]:

@@ -539,10 +539,10 @@ def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     window's frames are views into the trace's arrays, found for all
     windows at once with one search per channel.
     """
-    if length <= 0:
-        raise ArgumentError(f"window length must be positive, got {length}")
-    if stride <= 0:
-        raise ArgumentError(f"window stride must be positive, got {stride}")
+    if not (math.isfinite(length) and length > 0):
+        raise ArgumentError(f"window length must be finite and positive, got {length}")
+    if not (math.isfinite(stride) and stride > 0):
+        raise ArgumentError(f"window stride must be finite and positive, got {stride}")
     t = trace.t
     if len(t) < 2:
         return []

@@ -22,7 +22,8 @@ from fatiguekit import (
     RangeError,
     SignalFrame,
 )
-from fatiguekit.rules import level_class_parts
+from fatiguekit.kstore import assert_fact, query_class
+from fatiguekit.rules import FiredRule, level_class_parts
 
 
 def apen_oracle(x, m: int, r: float) -> float:
@@ -247,6 +248,35 @@ def chaining_oracle(taxonomy_parents: dict, memberships: set, rules) -> frozense
                     facts.add((ind, conclusion))
                     changed = True
     return frozenset(facts)
+
+
+def infer_per_conclusion(fb, pack):
+    """The former engine: forward chaining to fixpoint that builds a new
+    fact base with `assert_fact` for every conclusion.
+
+    Each iteration collects (rule, individual, class) for every rule whose
+    conditions hold and every anchor individual, in pack order, and then
+    asserts them one at a time; a pair an earlier rule of the same
+    iteration already added is skipped, so it is logged under that rule.
+    """
+    iteration = 0
+    log = []
+    while True:
+        iteration += 1
+        new = []
+        for rule in pack.rules:
+            if not all(query_class(fb, c) for c in rule.conditions):
+                continue
+            for ind in sorted(query_class(fb, rule.anchor_class)):
+                if (ind, rule.conclusion_class) not in fb.memberships:
+                    new.append((rule.name, ind, rule.conclusion_class))
+        if not new:
+            return fb, log
+        for rule_name, ind, cls in new:
+            if (ind, cls) in fb.memberships:
+                continue
+            fb = assert_fact(fb, ind, cls)
+            log.append(FiredRule(rule=rule_name, individual=ind, iteration=iteration))
 
 
 def _coerce_number(text: str, column: str, row: int) -> float:

@@ -16,12 +16,14 @@ from oracles import latest_elapsed_scan
 
 from fatiguekit import (
     AlertPolicy,
+    AmbiguityError,
     ArgumentError,
     DecodeError,
     FatigueLevel,
     FeatureParams,
     FeatureVector,
     PipelineConfig,
+    RulePack,
     SignalFrame,
     Trace,
     UnknownClassError,
@@ -32,6 +34,7 @@ from fatiguekit import (
     load_config,
     load_snapshot,
     make_windows,
+    parse_rules,
     parse_scenario_spec,
     run,
     simple_spec,
@@ -217,6 +220,12 @@ class TestLoadConfig:
         with pytest.raises(ArgumentError):
             cfg_from({"window_length_s": -1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["window_length_s", "window_stride_s", "perclos_window_s"])
+    def test_non_finite_geometry_rejected(self, key, bad):
+        with pytest.raises(ArgumentError, match=f"{key} must be finite and positive"):
+            dataclasses.replace(load_config(), **{key: bad})
+
 
 def run_scenario(regime, duration=600.0, seed=0, cfg=None):
     frames = generate_scenario(simple_spec(regime, duration=duration, seed=seed))
@@ -369,6 +378,32 @@ class TestSnapshots:
         assert f"steering@{first.window.start_t}" in inds
         assert f"yaw@{first.window.start_t}" in inds
 
+    def test_failed_run_leaves_the_earlier_windows_snapshots(self, tmp_path):
+        # clash concludes Low beside steering_high's High, so read_fatigue
+        # raises at the first window that reads High
+        trace = generate_scenario(ScenarioSpec(duration=240.0, sample_rate=10.0, seed=0, segments=(
+            Segment(0.0, 120.0, "alert"), Segment(120.0, 240.0, "drowsy"))))
+        stock = cfg_from({"snapshot_every_windows": 3},
+                         snapshot_dir_override=str(tmp_path / "stock"))
+        levels = [r.levels.get("SteeringWheel") for r in run(trace, stock).records]
+        fault = levels.index(HIGH)
+        assert fault > 3
+        clash = parse_rules(
+            "rule clash: when instance(?f, SteeringWheelMeasurementFatigue),"
+            " exists(SteeringWheelMeasurmentFatigue_High)"
+            " then classify(?f, SteeringWheelMeasurmentFatigue_Low)", stock.taxonomy)
+        out = tmp_path / "clash"
+        cfg = dataclasses.replace(stock, snapshot_dir=str(out),
+                                  rule_pack=RulePack(stock.rule_pack.rules + clash.rules))
+        with pytest.raises(AmbiguityError):
+            run(trace, cfg)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == [f"window_{i:05d}.snapshot.json" for i in range(0, fault, 3)]
+        for name in names:
+            data = (out / name).read_bytes()
+            assert data == (tmp_path / "stock" / name).read_bytes()
+            load_snapshot(data)
+
     def test_no_dir_no_files(self, tmp_path):
         cfg = cfg_from({"snapshot_every_windows": 5})
         run_scenario("alert", duration=100.0, cfg=cfg)
@@ -434,8 +469,21 @@ class TestClosurePass:
 
 
 class TestKnowledgeLayerPerWindow:
-    def test_one_fact_base_per_window_plus_fired_rules(self, monkeypatch):
+    def test_one_fact_base_per_window_plus_one_per_round_that_added_a_pair(
+            self, monkeypatch):
         from fatiguekit import kstore
+        # both marks conclude in the round after steering_high, so that
+        # round adds two pairs
+        cfg = load_config()
+        marks = parse_rules("""
+            rule mark_steering: when instance(?f, SteeringWheelMeasurementFatigue),
+                exists(SteeringWheelMeasurmentFatigue_High)
+                then classify(?f, VehicleBasedMeasurementFatigue)
+            rule mark_yaw: when instance(?f, YawAngleMeasurementFatigue),
+                exists(SteeringWheelMeasurmentFatigue_High)
+                then classify(?f, VehicleBasedMeasurementFatigue)
+            """, cfg.taxonomy)
+        cfg = dataclasses.replace(cfg, rule_pack=RulePack(cfg.rule_pack.rules + marks.rules))
         built = []
         post_init = kstore.FactBase.__post_init__
 
@@ -443,11 +491,10 @@ class TestKnowledgeLayerPerWindow:
             built.append(fb)
             post_init(fb)
         monkeypatch.setattr(kstore.FactBase, "__post_init__", counted)
-        frames = generate_scenario(simple_spec("drowsy", duration=120.0))
-        report = run(frames, load_config())
-        fired = sum(len(r.fired_rules) for r in report.records)
-        assert fired > 0
-        assert len(built) == len(report.records) + fired
+        report = run(generate_scenario(simple_spec("drowsy", duration=120.0)), cfg)
+        rounds = [{f.iteration for f in r.fired_rules} for r in report.records]
+        assert any(len(r.fired_rules) > len(its) for r, its in zip(report.records, rounds))
+        assert len(built) == len(report.records) + sum(map(len, rounds))
 
     def test_run_reuses_the_config_taxonomy(self, monkeypatch):
         from fatiguekit import pipeline

@@ -14,6 +14,7 @@ from fatiguekit import (
     FactBase,
     FatigueLevel,
     FusionWeights,
+    Rule,
     RulePack,
     RuleSyntaxError,
     Taxonomy,
@@ -149,6 +150,16 @@ class TestParser:
             parse_rules(text, TINY)
         assert exc.value.name == "r1"
         assert exc.value.line == 2
+        assert str(exc.value) == "duplicate rule name 'r1' (line 2)"
+
+    def test_duplicate_rule_name_in_code_has_no_line(self):
+        rule = Rule(name="a", anchor_var="x", anchor_class="A", conditions=(),
+                    conclusion_class="C")
+        with pytest.raises(DuplicateRuleNameError) as exc:
+            RulePack(rules=(rule, rule))
+        assert exc.value.name == "a"
+        assert exc.value.line is None
+        assert str(exc.value) == "duplicate rule name 'a'"
 
     def test_two_instance_atoms(self):
         text = ("rule r1: when instance(?f, A), instance(?g, B) "
@@ -274,6 +285,68 @@ class TestInference:
             order = np.random.default_rng(seed).permutation(len(pack.rules))
             shuffled, _ = infer(fb, RulePack(rules=tuple(pack.rules[i] for i in order)))
             assert shuffled.memberships == baseline.memberships
+
+
+def _rule(name, anchor, conditions, conclusion):
+    return Rule(name=name, anchor_var="x", anchor_class=anchor,
+                conditions=tuple(conditions), conclusion_class=conclusion)
+
+
+@st.composite
+def inference_universes(draw):
+    """A random acyclic taxonomy over a few classes, a fact base over a few
+    individuals and a pack of rules over those classes; few classes, so
+    rules often conclude the same pair or enable one another."""
+    classes = [f"C{i}" for i in range(draw(st.integers(2, 7)))]
+    parents = {}
+    for i, cls in enumerate(classes[1:], start=1):
+        chosen = draw(st.lists(st.sampled_from(classes[:i]), max_size=2, unique=True))
+        if chosen:
+            parents[cls] = tuple(chosen)
+    taxonomy = Taxonomy(classes=frozenset(classes), parents=parents)
+    individuals = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    members = draw(st.frozensets(st.tuples(st.sampled_from(individuals),
+                                           st.sampled_from(classes)), max_size=8))
+    rules = draw(st.lists(st.tuples(st.sampled_from(classes),
+                                    st.lists(st.sampled_from(classes), max_size=3),
+                                    st.sampled_from(classes)), min_size=1, max_size=8))
+    pack = RulePack(rules=tuple(_rule(f"r{k}", *r) for k, r in enumerate(rules)))
+    fb = FactBase(taxonomy=taxonomy, memberships=members,
+                  data_properties=frozenset({("i0", "has_x", 1.5)}), timestamp=60.0)
+    return fb, pack
+
+
+_CHAIN = Taxonomy(classes=frozenset({"Anchor", "Seed", "Mid", "Out"}), parents={})
+# "twin" and "first" conclude (a, Mid) in round 1, so the pair is logged
+# under "first", the earlier rule in pack order; "later" needs Mid, so it
+# fires in round 2
+_SAME_PAIR_THEN_CHAIN = (
+    FactBase(taxonomy=_CHAIN, memberships=frozenset({("a", "Anchor"), ("b", "Anchor"),
+                                                     ("s", "Seed")})),
+    RulePack(rules=(_rule("later", "Anchor", ["Mid"], "Out"),
+                    _rule("first", "Anchor", ["Seed"], "Mid"),
+                    _rule("twin", "Anchor", ["Seed"], "Mid"))))
+
+
+class TestInferMatchesPerConclusion:
+    @settings(max_examples=300, deadline=None)
+    @example(universe=_SAME_PAIR_THEN_CHAIN)
+    @given(universe=inference_universes())
+    def test_same_memberships_and_log(self, universe):
+        from oracles import infer_per_conclusion
+        fb, pack = universe
+        out, log = infer(fb, pack)
+        want, want_log = infer_per_conclusion(fb, pack)
+        assert out.memberships == want.memberships
+        assert log == want_log
+        assert (out.taxonomy, out.data_properties, out.timestamp) == \
+            (fb.taxonomy, fb.data_properties, fb.timestamp)
+
+    def test_same_round_pair_keeps_first_rule(self):
+        fb, pack = _SAME_PAIR_THEN_CHAIN
+        _, log = infer(fb, pack)
+        assert [(f.rule, f.individual, f.iteration) for f in log] == [
+            ("first", "a", 1), ("first", "b", 1), ("later", "a", 2), ("later", "b", 2)]
 
 
 class TestReadFatigue:

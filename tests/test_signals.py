@@ -193,6 +193,14 @@ class TestMakeWindows:
         with pytest.raises(ArgumentError):
             make_windows(Trace.from_frames([]), 5.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["length", "stride"])
+    def test_non_finite_geometry_rejected(self, which, bad):
+        trace = Trace.from_frames([SignalFrame(t=float(t)) for t in range(30)])
+        geometry = {"length": 10.0, "stride": 10.0, which: bad}
+        with pytest.raises(ArgumentError, match=f"window {which} must be finite"):
+            make_windows(trace, geometry["length"], geometry["stride"])
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=0.05, max_value=1.5, allow_nan=False),
                     min_size=3, max_size=30))
