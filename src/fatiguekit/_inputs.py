@@ -14,11 +14,12 @@ from .errors import DecodeError
 
 
 def text(data: bytes | str, what: str) -> str:
-    """data as text; bytes must be UTF-8."""
+    """data as text; bytes must be UTF-8, and one leading byte order mark
+    (as Excel's "CSV UTF-8" writes) is dropped."""
     if isinstance(data, str):
         return data
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise DecodeError(f"{what} not valid UTF-8: {e.reason}") from None
 
@@ -27,7 +28,7 @@ def json_object(data: bytes | str, what: str) -> dict:
     """The JSON object data holds; a syntax error carries its row."""
     try:
         obj = json.loads(text(data, what))
-    except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, too many digits, or too deep
         raise DecodeError(f"{what} not valid JSON: {getattr(e, 'msg', e)}",
                           row=getattr(e, "lineno", None)) from None
     if not isinstance(obj, dict):

@@ -4,7 +4,8 @@ A trace is a time-ordered sequence of frames. Each frame has a mandatory
 timestamp ``t`` (seconds) plus any subset of the named channels; a channel
 missing from a frame simply was not sampled at that instant. Traces are
 exchanged as CSV (header row, empty cell = absent) or JSONL (one object per
-line, absent key = absent channel).
+line, absent key = absent channel), in UTF-8 with or without a leading byte
+order mark; a CSV line ends at "\\r\\n", "\\r" or "\\n".
 
 In memory a trace is a `Trace`: the frame times plus, for each channel
 sampled somewhere, the times and values of its samples, as read-only
@@ -28,7 +29,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import repeat
 
 import numpy as np
 
@@ -260,13 +261,15 @@ class DriverProfile:
                 f"unknown sex {self.sex!r}: use male, female or unspecified") from None
 
 
-# Rows whose cells are converted to float64 together.
-_CHUNK_ROWS = 1024
+# Rows to a block, whose lines are split and cells converted together.
+_CHUNK_ROWS = 256
 
 
 class _Rows:
-    """A trace being parsed: every frame's cells as float64 (0.0 where
-    blank), a mask of the cells that are set, and the frames' row numbers.
+    """A trace being parsed, column by column: for each name the float64
+    values of its set cells, a piece per block of rows, so no row-major
+    copy of the cells outlives its block; a mask of the cells that are
+    set; and the frames' row numbers.
 
     Rows are only decoded on the way in; the frame invariants are checked
     over whole columns. The first frame that breaks one is rebuilt as a
@@ -277,15 +280,14 @@ class _Rows:
         from array import array  # here, so importing the package does not load it
 
         self.names = names  # "t" and channels, in cell order
-        self.blocks: list[np.ndarray] = []  # flat float64 cells, in row order
-        self.loose: list[float] = []  # cells of frames added one at a time
+        self.parts: list[list[np.ndarray]] = [[] for _ in names]
+        self.loose: list[float | None] = []  # cells of frames added one at a time
         self.set = bytearray()
         self.rows = array("q")
 
     def add(self, row: int, values: list[float | None]):
         """One frame; values has one entry per name, None where blank."""
-        self.set.extend([v is not None for v in values])
-        self.loose.extend([0.0 if v is None else v for v in values])
+        self.loose.extend(values)
         self.rows.append(row)
         if len(self.loose) >= _CHUNK_ROWS * len(self.names):
             self._seal()
@@ -307,55 +309,58 @@ class _Rows:
             is_set = b"\x01" * len(cells)
             block = np.array(cells, dtype=float)  # float() on each cell
         self._seal()
-        self.blocks.append(block)
-        self.set += is_set
+        self._store(block, is_set)
         self.rows.extend(rows)
 
     def _seal(self):
         if self.loose:
-            self.blocks.append(np.array(self.loose, dtype=float))
+            # None reads as nan, in a cell that is not set
+            self._store(np.array(self.loose, dtype=float),
+                        bytes([v is not None for v in self.loose]))
             self.loose = []
 
-    def _columns(self):
-        """Frame times, and each set channel's frame indices and values."""
+    def _store(self, cells: np.ndarray, is_set: bytes):
+        """Frames given as their cells, flat in row order, and set flags."""
         width = len(self.names)
-        self._seal()
-        cells = np.concatenate([np.empty(0), *self.blocks]).reshape(-1, width)
-        is_set = np.frombuffer(self.set, dtype=bool).reshape(-1, width)
-        t = cells[:, self.names.index("t")].copy()
-        columns = {}
-        for name in CHANNELS:
-            if name in self.names:
-                j = self.names.index(name)
-                index = np.flatnonzero(is_set[:, j])
-                if len(index):
-                    columns[name] = (index, cells[index, j])
-        return t, columns
+        present = np.frombuffer(is_set, dtype=bool).reshape(-1, width)
+        for parts, column, mask in zip(self.parts, cells.reshape(-1, width).T, present.T):
+            parts.append(column[mask])
+        self.set += is_set
 
     def finish(self, error: Exception | None = None) -> Trace:
         """The parsed trace. `error`, met at some row, is raised only when
         no earlier row holds an invalid frame."""
-        t, columns = self._columns()
+        self._seal()
+        is_set = np.frombuffer(self.set, dtype=bool).reshape(-1, len(self.names))
+        columns = {}  # name -> (mask of the frames that set it, its values)
+        for j, (name, parts) in enumerate(zip(self.names, self.parts)):
+            columns[name] = (is_set[:, j], np.concatenate([_EMPTY, *parts]))
+            parts.clear()  # each column's pieces go once it is joined
+        t = columns["t"][1]
+        columns = {name: columns[name] for name in CHANNELS
+                   if name in columns and len(columns[name][1])}
         bad = ~(np.isfinite(t) & (t >= 0))
         bad[1:] |= ~(t[1:] > t[:-1])
-        for name, (index, v) in columns.items():
+        for name, (present, v) in columns.items():
             ok = np.isfinite(v)
             if name in _RANGES:
                 ok &= _RANGES[name][0](v)
-            bad[index[~ok]] = True
+            if not ok.all():
+                bad[np.flatnonzero(present)[~ok]] = True
         faults = np.flatnonzero(bad)
         if len(faults):
             self._raise_fault(int(faults[0]), t, columns)
         if error is not None:
             raise error
         t = _readonly(t)
-        return Trace(t, {name: (_readonly(t[index]), _readonly(v))
-                         for name, (index, v) in columns.items()})
+        # a channel set in every frame shares the frame times
+        return Trace(t, {name: (t if len(v) == len(t) else _readonly(t[present]), _readonly(v))
+                         for name, (present, v) in columns.items()})
 
     def _raise_fault(self, i: int, t: np.ndarray, columns):
         row = self.rows[i]
-        values = {name: float(v[j]) for name, (index, v) in columns.items()
-                  if (j := int(np.searchsorted(index, i))) < len(index) and index[j] == i}
+        values = {name: float(v[np.count_nonzero(present[:i])])
+                  for name, (present, v) in columns.items() if present[i]}
         try:
             SignalFrame(t=float(t[i]), **values)
         except RangeError as e:
@@ -384,29 +389,56 @@ def _add_csv_row(out: _Rows, header: list[str], row: int, cells: list[str]):
     out.add(row, values)
 
 
-def _add_csv_chunk(out: _Rows, header: list[str], first: int, chunk: list[list[str]]):
-    """Rows in file order, the first of them row `first`. When each is a
-    frame whose set cells are plain numbers, as in a well-formed file,
-    their cells are converted at once; otherwise row by row, which finds
-    the first faulty row."""
+def _add_csv_block(out: _Rows, header: list[str], first: int, lines: list[str]):
+    """Lines free of quotes and line ends, in file order, the first of them
+    row `first`. When each is a frame whose set cells are plain numbers, as
+    in a well-formed file, their cells are converted at once; otherwise row
+    by row, which finds the first faulty row."""
     width = len(header)
-    t_at = header.index("t")
-    for cells in chunk:
-        if len(cells) != width or not cells[t_at]:
-            break
-    else:
-        try:
-            out.add_block(list(chain.from_iterable(chunk)), range(first, first + len(chunk)))
-            return
-        except ValueError:  # padded or non-numeric cells
-            pass
-    for row, cells in enumerate(chunk, start=first):
+    if set(map(str.count, lines, repeat(","))) == {width - 1}:
+        cells = ",".join(lines).split(",")
+        if all(cells[header.index("t")::width]):
+            try:
+                out.add_block(cells, range(first, first + len(lines)))
+                return
+            except ValueError:  # padded or non-numeric cells
+                pass
+    for row, cells in enumerate(csv.reader(lines), start=first):
         _add_csv_row(out, header, row, cells)
 
 
+# One CSV line with its end, as a file opened with newline="" yields it.
+_CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _csv_blocks(text: str, pos: int):
+    """The lines of text[pos:], _CHUNK_ROWS to a block, without their ends,
+    each block cut on its own, so the text is never held twice. "\\r\\n",
+    "\\r" and "\\n" each end a line, as for `csv`."""
+    end = "\n" if "\n" in text else "\r"
+    cr = end == "\n" and "\r" in text
+    guess = 64 * _CHUNK_ROWS  # characters, then a little over the last block
+    while pos < len(text):
+        lines = text[pos:pos + guess].split(end, _CHUNK_ROWS)
+        taken = min(guess, len(text) - pos)
+        if len(lines) > _CHUNK_ROWS:
+            taken -= len(lines.pop())
+        elif pos + guess >= len(text):  # the last lines
+            if not lines[-1]:
+                lines.pop()
+        else:
+            guess *= 2
+            continue
+        pos += taken
+        guess = taken + taken // 8 + 64
+        if cr:
+            lines = [part for line in lines for part in line.removesuffix("\r").split("\r")]
+        yield lines
+
+
 def _parse_csv(text: str) -> Trace:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    records = csv.reader(m.group() for m in _CSV_LINE.finditer(text))
+    header = next(records, None)
     if header is None:
         return _Rows(("t",)).finish()
     header = [h.strip() for h in header]
@@ -420,12 +452,16 @@ def _parse_csv(text: str) -> Trace:
         raise DecodeError("duplicate column in header")
 
     out = _Rows(tuple(header))
-    first = 1  # row number of the chunk's first row
     error = None
     try:
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            _add_csv_chunk(out, header, first, chunk)
-            first += len(chunk)
+        if '"' in text:  # a quoted cell may hold a comma or a line end
+            for row, cells in enumerate(records, start=1):
+                _add_csv_row(out, header, row, cells)
+        else:  # the header is the first line
+            row = 1  # row number of the block's first line
+            for lines in _csv_blocks(text, _CSV_LINE.match(text).end()):
+                _add_csv_block(out, header, row, lines)
+                row += len(lines)
     except Exception as e:
         error = e
     return out.finish(error)
@@ -455,7 +491,7 @@ def _parse_jsonl(text: str) -> Trace:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
+            except (ValueError, RecursionError) as e:  # bad JSON, too many digits, or too deep
                 raise DecodeError(f"bad JSON: {getattr(e, 'msg', e)}", row=row) from None
             if not isinstance(obj, dict):
                 raise DecodeError("each line must be a JSON object", row=row)

@@ -301,7 +301,7 @@ def parse_csv_rowwise(text: str) -> list[SignalFrame]:
     one: the same frames for valid input, and the same error class,
     message and row for the first fault in invalid input.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))  # "\r\n", "\r" or "\n" ends a line
     try:
         header = next(reader)
     except StopIteration:
@@ -352,7 +352,7 @@ def parse_jsonl_rowwise(text: str) -> list[SignalFrame]:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
+        except (ValueError, RecursionError) as e:  # bad JSON, too many digits, or too deep
             raise DecodeError(f"bad JSON: {getattr(e, 'msg', e)}", row=line_idx) from None
         if not isinstance(obj, dict):
             raise DecodeError("each line must be a JSON object", row=line_idx)

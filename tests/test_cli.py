@@ -264,6 +264,12 @@ DUMP = ["snapshot", "dump", "snap.json"]
                  "scheme mean_swa_abs upper must be finite", id="scheme-nan-bound"),
     pytest.param(RUN, {"c.json": b'{"window_length_s": 1' + b"0" * 5000 + b"}"},
                  "config not valid JSON", id="config-integer-past-digit-limit"),
+    pytest.param(["run", "t.jsonl"], {"t.jsonl": b"[" * 100_000}, "bad JSON",
+                 id="jsonl-nested-past-recursion-limit"),
+    pytest.param(RUN, {"c.json": b"[" * 100_000}, "config not valid JSON",
+                 id="config-nested-past-recursion-limit"),
+    pytest.param(DUMP, {"snap.json": b"[" * 100_000}, "snapshot not valid JSON",
+                 id="snapshot-nested-past-recursion-limit"),
     pytest.param(RUN, {"c.json": {"profile": {"id": "d", "sexx": "female"}}}, "sexx",
                  id="profile-unknown-key"),
     pytest.param(RUN, {"c.json": {"profile": {"id": 5}}}, "profile.id",
@@ -285,6 +291,33 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, monkeypatch, capsys,
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error: ")]
     assert errors and named in errors[0]
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("files", [
+    pytest.param({"t.csv": BOM + b"t,swa\n0.0,1.0\n0.1,2.0\n"}, id="csv-bom"),
+    pytest.param({"t.csv": b"t,swa\r0.0,1.0\r0.1,2.0\r"}, id="csv-bare-cr"),
+    pytest.param({"t.csv": b"t,swa\r\n0.0,1.0\r\n0.1,2.0"}, id="csv-crlf"),
+    pytest.param({"t.jsonl": BOM + b'{"t": 0.0, "swa": 1.0}\n{"t": 0.1, "swa": 2.0}\n'},
+                 id="jsonl-bom"),
+    pytest.param({"c.json": BOM + b'{"window_length_s": 60.0}'}, id="config-bom"),
+])
+def test_byte_order_mark_and_line_ends_read_as_plain_input(tmp_path, monkeypatch, capsys,
+                                                           files):
+    monkeypatch.chdir(tmp_path)
+    plain = {"t.csv": b"t,swa\n0.0,1.0\n0.1,2.0\n",
+             "t.jsonl": b'{"t": 0.0, "swa": 1.0}\n{"t": 0.1, "swa": 2.0}\n',
+             "c.json": b'{"window_length_s": 60.0}'}
+    trace = "t.jsonl" if "t.jsonl" in files else "t.csv"
+    reports = []
+    for contents in (plain, {**plain, **files}):
+        for name, content in contents.items():
+            (tmp_path / name).write_bytes(content)
+        assert main(["run", trace, "--config", "c.json", "--out", "r.jsonl"]) == 0
+        reports.append((tmp_path / "r.jsonl").read_bytes())
+    assert reports[0] == reports[1] and reports[0]
 
 
 # -- any value of another type: exit 0 or 1, never 2 -------------------------

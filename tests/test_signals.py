@@ -142,6 +142,28 @@ class TestParseTrace:
         assert list(parse_trace(b"", "csv")) == []
         assert list(parse_trace(b"", "jsonl")) == []
 
+    @pytest.mark.parametrize("ends", [("\n",) * 4, ("\r\n",) * 4, ("\r",) * 4,
+                                      ("\r", "\n", "\r\n", "\r")])
+    def test_csv_line_ends(self, ends):
+        lines = ["t,swa", "0.0,1.0", "", "0.1,2.0"]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        for rows in (signals._CHUNK_ROWS, 1):
+            with chunk_rows(rows):
+                assert list(parse_trace(text.encode(), "csv")) == parse_csv_rowwise(text) == [
+                    SignalFrame(t=0.0, swa=1.0), SignalFrame(t=0.1, swa=2.0)]
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "t,swa\n0.0,1.0\n0.1,2.0\n"),
+        ("jsonl", '{"t": 0.0, "swa": 1.0}\n{"t": 0.1, "swa": 2.0}\n'),
+    ])
+    def test_one_leading_byte_order_mark_is_dropped(self, fmt, text):
+        bom = "\ufeff".encode()
+        assert parse_trace(bom + text.encode(), fmt) == parse_trace(text.encode(), fmt)
+        with pytest.raises(DecodeError):  # only one, and only from bytes
+            parse_trace(2 * bom + text.encode(), fmt)
+        with pytest.raises(DecodeError):
+            parse_trace("\ufeff" + text, fmt)
+
 
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
@@ -305,6 +327,25 @@ def test_serialize_holds_its_output_once(fmt):
     assert peak < 2 * len(blob)
 
 
+def test_parse_holds_the_text_once():
+    # 6 000 rows of t and 11 channels, 1.1 MB. Reading the text through a
+    # whole-text io.StringIO, a 4-byte-per-character copy, peaked at 7.2
+    # times the input.
+    trace = generate_scenario(simple_spec("drowsy", duration=600.0, seed=3))
+    blob = serialize_trace(trace, "csv")
+    tracemalloc.start()
+    try:
+        parsed = parse_trace(blob, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) >= 1_000_000 and parsed == trace
+    assert peak <= 3 * len(blob)
+    # a channel set in every row holds no copy of the frame times
+    assert len(parsed.channels) == 11
+    assert all(parsed.channel(name)[0] is parsed.t for name in parsed.channels)
+
+
 def test_window_frames_half_open():
     # interval convention: start in, end out
     frames = [SignalFrame(t=float(k)) for k in range(12)]
@@ -337,10 +378,11 @@ VALID_CELL = {
     "heart_bpm": st.floats(30.0, 200.0),
 }
 CSV_FAULTS = ("text", "nan", "eye", "bpm", "negative_t", "repeated_t",
-              "missing_t", "cell_count", "blank_row", "padded")
+              "missing_t", "cell_count", "blank_row", "padded", "quoted",
+              "quoted_line_end", "quoted_comma")
 JSONL_FAULTS = ("text", "nan", "eye", "bpm", "negative_t", "repeated_t",
                 "missing_t", "unknown_key", "bad_json", "not_object", "bool",
-                "huge_int", "digit_limit", "blank_row", "padded")
+                "huge_int", "digit_limit", "nested", "blank_row", "padded")
 
 
 @st.composite
@@ -360,7 +402,7 @@ def fault_records(draw, faults):
     return rows, injected
 
 
-def csv_text(rows, injected, order, draw_sep):
+def csv_text(rows, injected, order, draw_sep, final=False):
     header = list(order)
     lines = [[("" if r[c] is None else repr(r[c])) for c in header] for r in rows]
     extra = []  # (index, line) inserted after the rows are built
@@ -385,13 +427,21 @@ def csv_text(rows, injected, order, draw_sep):
         elif kind == "cell_count":
             cells.append("1.0")
         elif kind == "blank_row":
-            # an empty line, a short blank line, a full-width blank line
-            extra.append((i, [[""], ["", ""], [" "] * len(header)][i % 3]))
+            # an empty line, a short blank line, a full-width blank line, a
+            # whitespace-only line
+            extra.append((i, [[""], ["", ""], [" "] * len(header), [" \t "]][i % 4]))
         elif kind == "padded":
             lines[i] = [f"  {c}\t" for c in cells]
+        elif kind == "quoted":  # a quoted number reads as the number
+            cells[at("swa")] = f'"{cells[at("swa")]}"'
+        elif kind == "quoted_line_end":  # one row over two lines
+            cells[at("mouth_open")] = f'"{cells[at("mouth_open")]}{draw_sep}"'
+        elif kind == "quoted_comma":
+            cells[at("swa")] = '"1,5"'
     for i, line in sorted(extra, reverse=True):
         lines.insert(i, line)
-    return draw_sep.join([",".join(header), *(",".join(c) for c in lines)])
+    return draw_sep.join([",".join(header), *(",".join(c) for c in lines)]) + \
+        (draw_sep if final else "")
 
 
 def jsonl_text(rows, injected, sep):
@@ -428,6 +478,8 @@ def jsonl_text(rows, injected, sep):
             obj["swa"] = 10 ** 400
         elif kind == "digit_limit":  # past the digits int() may parse
             text = json.dumps(obj)[:-1] + ', "swa": 1' + "0" * 5000 + "}"
+        elif kind == "nested":  # past the nesting json can recurse into
+            text = "[" * 100_000
         elif kind == "blank_row":
             extra.append((i, " \t"))
             continue
@@ -439,9 +491,9 @@ def jsonl_text(rows, injected, sep):
     return sep.join(lines)
 
 
-# Rows to a chunk: the parser's own, and three, so that sparse rows, padded
-# cells and faults also fall in later chunks, and chunks converted at once
-# follow chunks read row by row.
+# Rows to a block: the parser's own, and three, so that sparse rows, padded
+# cells and faults also fall in later blocks, and blocks converted at once
+# follow blocks read row by row.
 CHUNK_ROWS = st.sampled_from([signals._CHUNK_ROWS, 3])
 
 
@@ -457,10 +509,12 @@ def chunk_rows(rows: int):
 
 class TestParseMatchesRowwiseOracle:
     @settings(max_examples=120, deadline=None)
-    @given(traces(), CHUNK_ROWS)
-    def test_valid_traces_give_equal_frames(self, frames, rows):
+    @given(traces(), CHUNK_ROWS, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    def test_valid_traces_give_equal_frames(self, frames, rows, sep, final):
         for fmt, oracle in (("csv", parse_csv_rowwise), ("jsonl", parse_jsonl_rowwise)):
-            text = serialize_trace(frames, fmt).decode()
+            # the line ends as drawn, with or without one after the last line
+            text = serialize_trace(frames, fmt).decode().replace("\n", sep)
+            text = text if final else text.removesuffix(sep)
             with chunk_rows(rows):
                 parsed = parse_trace(text, fmt)
             assert isinstance(parsed, Trace)
@@ -469,9 +523,9 @@ class TestParseMatchesRowwiseOracle:
 
     @settings(max_examples=600, deadline=None)
     @given(fault_records(CSV_FAULTS), st.permutations(FAULT_COLUMNS),
-           st.sampled_from(["\n", "\r\n", "\r"]), CHUNK_ROWS)
-    def test_csv_faults_raise_as_the_oracle(self, case, order, sep, rows):
-        text = csv_text(*case, order, sep)
+           st.sampled_from(["\n", "\r\n", "\r"]), CHUNK_ROWS, st.booleans())
+    def test_csv_faults_raise_as_the_oracle(self, case, order, sep, rows, final):
+        text = csv_text(*case, order, sep, final)
         with chunk_rows(rows):
             got = outcome(lambda x: parse_trace(x, "csv"), text)
         assert got == outcome(parse_csv_rowwise, text)
@@ -490,6 +544,9 @@ class TestParseMatchesRowwiseOracle:
         ("t,swa\n0.0,1\n0.1,abc\n0.05,1\n", DecodeError, 2),
         ("t,swa\n0.0,1\n0.0,1\n0.2,1,2\n", MonotonicityError, 2),
         ("t,heart_bpm\n0.0,60\n\n , \n0.1,0\n", RangeError, 4),
+        # a short row and a blank line: one cell too few each, a row's worth
+        # of cells together
+        ("t,eye_closure\n0.0,0.5\n0.1\n\n", DecodeError, 2),
     ])
     def test_first_fault_wins(self, text, error, row):
         with pytest.raises(error) as exc:
@@ -497,6 +554,28 @@ class TestParseMatchesRowwiseOracle:
         assert exc.value.row == row
         assert outcome(lambda x: parse_trace(x, "csv"), text) == \
             outcome(parse_csv_rowwise, text)
+
+    @pytest.mark.parametrize("rows", [signals._CHUNK_ROWS, 3])
+    @pytest.mark.parametrize("last, first, error", [
+        # eye_closure cells of the last row of one block and the first of the next
+        ("abc", "1.5", DecodeError),
+        ("1.5", "abc", RangeError),
+        ("0.5,1", "1.5", DecodeError),
+        ("0.5", "abc", DecodeError),
+        ("0.5", "0.5,1", DecodeError),
+        ("0.5", "1.5", RangeError),
+    ])
+    def test_faults_at_a_block_edge(self, rows, last, first, error):
+        cells = ["0.5"] * (2 * rows + 1)
+        cells[rows - 1], cells[rows] = last, first
+        text = "t,eye_closure\n" + "".join(
+            f"{i / 10!r},{cell}\n" for i, cell in enumerate(cells))
+        with chunk_rows(rows), pytest.raises(error) as exc:
+            parse_trace(text, "csv")
+        assert exc.value.row == (rows if last != "0.5" else rows + 1)
+        with chunk_rows(rows):
+            assert outcome(lambda x: parse_trace(x, "csv"), text) == \
+                outcome(parse_csv_rowwise, text)
 
 
 # -- columns and windows as views ------------------------------------------
