@@ -9,9 +9,8 @@ camera channels still yields the vehicular features. A value that overflows
 float64 on finite samples is left absent and noted, never reported.
 
 Approximate entropy, the costliest feature, counts its template matches
-exactly with bitsets, 64 samples to a word (_phi_pair). It counts set bits
-with np.bitwise_count on numpy >= 2.0, and with bit-parallel integer steps
-on older numpy, which is slower but gives the same counts.
+exactly with bitsets, 64 samples to a word (_phi_pair), and counts set
+bits with np.bitwise_count.
 
 Eyelid and mouth episodes come from the edges of a boolean mask in one
 numpy pass (_hold_runs); the head-pitch EWMA and the debounced steering
@@ -100,27 +99,9 @@ _PREFIX_WORDS = 1 << 20
 _ROW_WORDS = 1 << 14
 
 
-_M1, _M2, _M4 = (np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
-                                         0x0F0F0F0F0F0F0F0F))
-
-
-def _popcounts_swar(words: np.ndarray) -> np.ndarray:
-    """Set bits in each row of a 2-D uint64 array without np.bitwise_count:
-    each byte's count by the bit-parallel steps of Hacker's Delight 5-1,
-    then each row's bytes summed. 4-5 times as fast as np.unpackbits."""
-    x = words - ((words >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x += x >> np.uint64(4)
-    x &= _M4
-    return x.view(np.uint8).sum(axis=1, dtype=np.intp)
-
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    def _popcounts(words: np.ndarray) -> np.ndarray:
-        """Set bits in each row of a 2-D uint64 array."""
-        return np.bitwise_count(words).sum(axis=1, dtype=np.intp)
-else:
-    _popcounts = _popcounts_swar
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits in each row of a 2-D uint64 array."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.intp)
 
 
 def _near_ranges(x: np.ndarray, xs: np.ndarray, r: float
@@ -192,9 +173,7 @@ def _phi_pair(x: np.ndarray, m: int, r: float) -> tuple[float, float]:
     and is == that of a float64 compare. On a 2-vCPU Xeon VM with numpy 2.4,
     one call at m = 2 on a random walk takes about 0.33 ms at n = 600,
     1.9 ms at 2000 and 9.4 ms at 6000, against 0.48, 4.0 and 18 ms for a
-    compare of uint16 sort ranks, one byte per pair. _popcounts_swar, the
-    count taken on numpy < 2.0, made a call 1.4 to 1.8 times as long when
-    put in place of np.bitwise_count there.
+    compare of uint16 sort ranks, one byte per pair.
     """
     n = len(x)
     count_m, count_m1 = n - m + 1, n - m

@@ -391,9 +391,9 @@ def _add_csv_row(out: _Rows, header: list[str], row: int, cells: list[str]):
 
 def _add_csv_block(out: _Rows, header: list[str], first: int, lines: list[str]):
     """Lines free of quotes and line ends, in file order, the first of them
-    row `first`. When each is a frame whose set cells are plain numbers, as
-    in a well-formed file, their cells are converted at once; otherwise row
-    by row, which finds the first faulty row."""
+    row `first`, split on commas. When each is a frame whose set cells are
+    plain numbers, as in a well-formed file, their cells are converted at
+    once; otherwise row by row, which finds the first faulty row."""
     width = len(header)
     if set(map(str.count, lines, repeat(","))) == {width - 1}:
         cells = ",".join(lines).split(",")
@@ -403,8 +403,8 @@ def _add_csv_block(out: _Rows, header: list[str], first: int, lines: list[str]):
                 return
             except ValueError:  # padded or non-numeric cells
                 pass
-    for row, cells in enumerate(csv.reader(lines), start=first):
-        _add_csv_row(out, header, row, cells)
+    for row, line in enumerate(lines, start=first):
+        _add_csv_row(out, header, row, line.split(","))
 
 
 # One CSV line with its end, as a file opened with newline="" yields it.
@@ -438,7 +438,10 @@ def _csv_blocks(text: str, pos: int):
 
 def _parse_csv(text: str) -> Trace:
     records = csv.reader(m.group() for m in _CSV_LINE.finditer(text))
-    header = next(records, None)
+    try:
+        header = next(records, None)
+    except csv.Error as e:  # such as a name past csv.field_size_limit()
+        raise DecodeError(f"bad CSV header: {e}") from None
     if header is None:
         return _Rows(("t",)).finish()
     header = [h.strip() for h in header]
@@ -453,6 +456,7 @@ def _parse_csv(text: str) -> Trace:
 
     out = _Rows(tuple(header))
     error = None
+    row = 0  # the last row read by csv
     try:
         if '"' in text:  # a quoted cell may hold a comma or a line end
             for row, cells in enumerate(records, start=1):
@@ -462,6 +466,8 @@ def _parse_csv(text: str) -> Trace:
             for lines in _csv_blocks(text, _CSV_LINE.match(text).end()):
                 _add_csv_block(out, header, row, lines)
                 row += len(lines)
+    except csv.Error as e:  # csv reads no row of quote-free text
+        error = DecodeError(f"bad CSV: {e}", row=row + 1)
     except Exception as e:
         error = e
     return out.finish(error)
@@ -574,6 +580,10 @@ def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     would otherwise step through about 1e8 empty windows first. Each
     window's frames are views into the trace's arrays, found for all
     windows at once with one search per channel.
+
+    Raises:
+        ArgumentError: a length or stride not finite and positive, or more
+            window starts than a numpy index counts.
     """
     if not (math.isfinite(length) and length > 0):
         raise ArgumentError(f"window length must be finite and positive, got {length}")
@@ -583,8 +593,15 @@ def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     if len(t) < 2:
         return []
     last_t = float(t[-1])
-    k0 = max(0, math.floor((float(t[0]) - length) / stride))
-    starts = np.arange(k0, max(k0, math.ceil(last_t / stride)) + 1) * stride
+    # starts k0 * stride .. k1 * stride, counted in Python integers; a finite
+    # k1 bounds k0, as (t[0] - length) / stride <= k1
+    k1 = last_t / stride
+    k0 = math.floor(max(0.0, (float(t[0]) - length) / stride)) if math.isfinite(k1) else 0
+    count = math.ceil(k1) + 1 - k0 if math.isfinite(k1) else math.inf
+    if count > np.iinfo(np.intp).max:
+        raise ArgumentError(f"window length {length} and stride {stride} need "
+                            f"{count:.3g} window starts to reach t={last_t}")
+    starts = np.arange(k0, k0 + count) * stride
     starts = starts[starts < last_t]
     ends = starts + length
     lo = np.searchsorted(t, starts)

@@ -262,17 +262,9 @@ class TestBlockedKernel:
 
 
 class TestPopcount:
-    """The bit-parallel count, which numpy < 2.0 uses, and the kernel on it."""
-
-    @pytest.mark.parametrize("m", [1, 2, 70])
-    def test_kernel_on_swar_count(self, monkeypatch, m):
-        monkeypatch.setattr(features, "_popcounts", features._popcounts_swar)
-        for kind in ("continuous", "tied"):
-            x, r = _series(kind, 700, seed=m)
-            assert approximate_entropy(x, ApEnParams(m=m, r=r)) == apen_rowwise(x, m, r)
+    """The count of set bits the kernel sums its matches with."""
 
     def test_counts_equal_python_counts(self):
-        # _popcounts is np.bitwise_count on numpy >= 2.0
         rng = np.random.default_rng(64)
         words = rng.integers(0, 2**64, size=(50, 9), dtype=np.uint64, endpoint=False)
         words[0] = 0
@@ -283,7 +275,6 @@ class TestPopcount:
         words[4] = [1 << (7 * k) for k in range(9)]
         want = [sum(bin(int(w)).count("1") for w in row) for row in words]
         assert want[:5] == [0, 64 * 9, 64 * 5, 32 * 9, 9]
-        assert features._popcounts_swar(words).tolist() == want
         assert features._popcounts(words).tolist() == want
 
 

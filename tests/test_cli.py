@@ -270,6 +270,14 @@ DUMP = ["snapshot", "dump", "snap.json"]
                  id="config-nested-past-recursion-limit"),
     pytest.param(DUMP, {"snap.json": b"[" * 100_000}, "snapshot not valid JSON",
                  id="snapshot-nested-past-recursion-limit"),
+    pytest.param(["run", "t.csv"], {"t.csv": b"t,swa\n0.0," + b"a" * 200_000 + b"\n"},
+                 "non-numeric value 'aaa", id="csv-cell-past-field-limit"),
+    pytest.param(["run", "t.csv"], {"t.csv": b't,swa\n0.0,"1' + b"0" * 139_999 + b'"\n'},
+                 "field larger than field limit", id="csv-quoted-cell-past-field-limit"),
+    pytest.param(RUN, {"c.json": {"window_stride_s": 1e-300}}, "stride 1e-300 need",
+                 id="config-stride-grid-past-index"),
+    pytest.param(RUN, {"c.json": {"window_stride_s": 5e-324}}, "stride 5e-324 need",
+                 id="config-stride-grid-infinite"),
     pytest.param(RUN, {"c.json": {"profile": {"id": "d", "sexx": "female"}}}, "sexx",
                  id="profile-unknown-key"),
     pytest.param(RUN, {"c.json": {"profile": {"id": 5}}}, "profile.id",

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import time
@@ -118,6 +119,31 @@ class TestParseTrace:
             parse_trace(b"t,swa\n0.0,abc", "csv")
         assert exc.value.row == 1
 
+    @pytest.mark.parametrize("text, row", [
+        ("t," + "s" * 140_000 + "\n0.0,1\n", None),
+        ('t,swa\n0.0,1\n0.1,"' + "1" * 140_000 + '"\n', 2),
+        ("t,swa\n0.0,1\n0.1," + "1" * 140_000 + "x\n", 2),  # split, never read by csv
+    ], ids=["header", "quoted", "quote-free"])
+    def test_csv_cell_past_csv_field_limit(self, text, row):
+        # csv.field_size_limit() is 131 072 characters
+        with pytest.raises(DecodeError) as exc:
+            parse_trace(text, "csv")
+        assert exc.value.row == row
+
+    @pytest.mark.parametrize("text", ["t,swa\n0.0,1\n0.1,2\n", "t,swa\n0.0,1\n0.1,2,3\n",
+                                      "t,swa\n0.0,1\n\n0.1,abc\n"])
+    def test_csv_module_reads_only_the_header_of_quote_free_text(self, monkeypatch, text):
+        read, reader = [], csv.reader
+
+        def spy(lines):
+            for cells in reader(lines):
+                read.append(cells)
+                yield cells
+        monkeypatch.setattr(csv, "reader", spy)
+        got = outcome(lambda x: parse_trace(x, "csv"), text)
+        assert read == [["t", "swa"]]
+        assert got == outcome(parse_csv_rowwise, text)
+
     def test_jsonl_unknown_key(self):
         with pytest.raises(DecodeError):
             parse_trace(b'{"t": 0.0, "wheel": 1.0}', "jsonl")
@@ -214,6 +240,13 @@ class TestMakeWindows:
             make_windows(Trace.from_frames([]), 0.0, 5.0)
         with pytest.raises(ArgumentError):
             make_windows(Trace.from_frames([]), 5.0, -1.0)
+
+    @pytest.mark.parametrize("stride", [1e-300, 5e-324])
+    def test_stride_too_small_to_count_the_grid(self, stride):
+        # 0.1 / 1e-300 starts overflow a numpy index; 0.1 / 5e-324 is inf
+        trace = Trace.from_frames([SignalFrame(t=0.0), SignalFrame(t=0.1)])
+        with pytest.raises(ArgumentError, match=f"length 10.0 and stride {stride} need"):
+            make_windows(trace, 10.0, stride)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("which", ["length", "stride"])
