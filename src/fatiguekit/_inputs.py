@@ -12,6 +12,13 @@ import sys
 
 from .errors import DecodeError
 
+def excerpt(value) -> str:
+    """repr(value) for an error message; past 40 characters, its first 40
+    and the value's full length."""
+    shown = repr(value)
+    size = len(value) if isinstance(value, str) else len(shown)
+    return shown if len(shown) <= 40 else f"{shown[:40]}... ({size} characters)"
+
 
 def text(data: bytes | str, what: str) -> str:
     """data as text; bytes must be UTF-8, and one leading byte order mark
@@ -39,7 +46,7 @@ def json_object(data: bytes | str, what: str) -> dict:
 def of_type(value, kind, key: str, what: str, row: int | None = None):
     """value if it is a kind and not a bool, else DecodeError naming key."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise DecodeError(f"{key} must be {what}, got {value!r}", row=row)
+        raise DecodeError(f"{key} must be {what}, got {excerpt(value)}", row=row)
     return value
 
 
@@ -48,8 +55,8 @@ def number(value, key: str, row: int | None = None) -> float:
     value = of_type(value, (int, float), key, "a number", row)
     # false for nan, infinities and integers past float64's range alike
     if not abs(value) <= sys.float_info.max:
-        raise DecodeError(f"{key} must be finite and within float64 range, got {value!r}",
-                          row=row)
+        raise DecodeError(
+            f"{key} must be finite and within float64 range, got {excerpt(value)}", row=row)
     return float(value)
 
 

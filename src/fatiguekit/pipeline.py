@@ -4,9 +4,10 @@ Per window the pipeline gathers the feature families' fields, builds the
 window's one FeatureVector from them, qualifies it into facts, builds a
 fresh fact base seeded with the taxonomy and one anchor individual per
 verdict source, runs the rule pack to fixpoint, reads the per-source levels
-and fuses them into an overall level. A window's snapshot, when one is due,
-is written as the window closes. Alerts follow a consecutive-windows policy
-over the overall levels.
+and fuses them into an overall level. Each window is finished as it closes:
+its closure fraction is joined from the closure windows elapsed by then,
+its alert is decided from the run of elevated overall levels it ends, once
+per run, and its snapshot, when one is due, is written.
 
 Everything is deterministic: the same trace and config produce the same
 report bytes and the same snapshot bytes.
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -57,6 +57,12 @@ class AlertPolicy:
         if self.consecutive < 1:
             raise ArgumentError(
                 f"alert window count must be >= 1, got {self.consecutive}")
+
+    def streak(self, before: int, level: FatigueLevel | None) -> int:
+        """The run of levels at or above self.level after one more level,
+        given the run `before` it; a lower or missing level ends the run.
+        The alert fires where the run reaches `consecutive`."""
+        return before + 1 if level is not None and level >= self.level else 0
 
 
 @dataclass(frozen=True)
@@ -224,56 +230,30 @@ class FatigueReport:
 
 
 def decide(levels: list[FatigueLevel | None], policy: AlertPolicy) -> list[int]:
-    """Indices where the alert fires.
-
-    The alert fires at the first index where the last `consecutive` levels
-    all reach policy.level, then stays quiet until a level drops below
-    (re-arming) and the run builds up again. Missing levels break runs and
-    re-arm.
+    """Indices where the alert fires: once per run of levels at or above
+    policy.level, at the index where the run reaches policy.consecutive
+    levels. A lower or missing level ends the run.
     """
     out: list[int] = []
     streak = 0
-    armed = True
     for i, level in enumerate(levels):
-        if level is not None and level >= policy.level:
-            streak += 1
-            if armed and streak >= policy.consecutive:
-                out.append(i)
-                armed = False
-        else:
-            streak = 0
-            armed = True
+        streak = policy.streak(streak, level)
+        if streak == policy.consecutive:
+            out.append(i)
     return out
-
-
-def _perclos_by_window_end(trace: Trace, cfg: PipelineConfig
-                           ) -> tuple[list[float], list[float]]:
-    """Ends and closure fractions of the closure windows holding two or more
-    eyelid samples, in window order."""
-    ends: list[float] = []
-    values: list[float] = []
-    for w in make_windows(trace, cfg.perclos_window_s, cfg.window_stride_s):
-        t, v = w.channel("eye_closure")
-        if len(t) >= 2:
-            ends.append(w.end_t)
-            values.append(closed_fraction(t, v, cfg.feature_params.eye_closed_threshold))
-    return ends, values
-
-
-def _latest_elapsed(ends: list[float], values: list[float], end_t: float) -> float | None:
-    """The value of the last closure window ending by end_t, if any."""
-    i = bisect_right(ends, end_t + 1e-9)
-    return values[i - 1] if i else None
 
 
 def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     """Process a whole trace.
 
-    The eyelid-closure fraction is computed over its own longer sliding
-    window; each vehicular window picks up the latest closure window that
-    has fully elapsed by its end. Windows missing channels still produce a
-    degraded record with whatever features ran, flagged under "errors".
-    When a snapshot directory is set, the post-inference fact base of every
+    Each window's record is built once, as the window closes. The
+    eyelid-closure fraction is computed over its own longer sliding window,
+    consumed in order as those windows elapse: each vehicular window picks
+    up the latest closure window that has fully elapsed by its end. The
+    alert is decided as the window closes, once per run of elevated overall
+    levels (see decide). Windows missing channels still produce a degraded
+    record with whatever features ran, flagged under "errors". When a
+    snapshot directory is set, the post-inference fact base of every
     `snapshot_every_windows`-th window is written as that window closes, so
     a run that raises part-way leaves the snapshots of the windows before
     the fault.
@@ -281,7 +261,10 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     if cfg is None:
         cfg = load_config()
     windows = make_windows(trace, cfg.window_length_s, cfg.window_stride_s)
-    perclos_ends, perclos_values = _perclos_by_window_end(trace, cfg)
+    closure = iter(make_windows(trace, cfg.perclos_window_s, cfg.window_stride_s))
+    pending = next(closure, None)
+    perclos = None
+    streak = 0
     anchors = ontology().anchors
 
     out_dir = None if cfg.snapshot_dir is None else Path(cfg.snapshot_dir)
@@ -291,9 +274,14 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     records: list[WindowRecord] = []
     for index, w in enumerate(windows):
         fields, notes = extract_features(w, cfg.feature_params)
-        # the freshest fully elapsed closure window, if any, replaces the
-        # window's own closure fraction
-        fields["perclos80"] = _latest_elapsed(perclos_ends, perclos_values, w.end_t)
+        # the window's closure fraction is the freshest fully elapsed closure
+        # window's with two or more eyelid samples, if any, not its own
+        while pending is not None and pending.end_t <= w.end_t + 1e-9:
+            t, v = pending.channel("eye_closure")
+            if len(t) >= 2:
+                perclos = closed_fraction(t, v, cfg.feature_params.eye_closed_threshold)
+            pending = next(closure, None)
+        fields["perclos80"] = perclos
         fv = FeatureVector(w.start_t, w.end_t, **fields)
 
         facts = tuple(qualify(fv, cfg.scheme, cfg.profile))
@@ -317,16 +305,14 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
                 notes = list(notes)
                 notes.append("fusion skipped: contributing sources all have zero weight")
 
+        streak = cfg.alert.streak(streak, overall)
         records.append(WindowRecord(
-            window=w, features=fv, facts=facts, fired_rules=tuple(fired),
-            levels=levels, overall=overall, alert=False, errors=tuple(notes)))
+            window=w, features=fv, facts=facts, fired_rules=tuple(fired), levels=levels,
+            overall=overall, alert=streak == cfg.alert.consecutive, errors=tuple(notes)))
 
         if out_dir is not None and index % cfg.snapshot_every_windows == 0:
             (out_dir / f"window_{index:05d}.snapshot.json").write_bytes(save_snapshot(
                 KnowledgeSnapshot(factbase=fb, trace_id=cfg.trace_id,
                                   window=(w.start_t, w.end_t))))
 
-    alert_at = set(decide([r.overall for r in records], cfg.alert))
-    records = [r if i not in alert_at else replace(r, alert=True)
-               for i, r in enumerate(records)]
     return FatigueReport(records=tuple(records))

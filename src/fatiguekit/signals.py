@@ -380,7 +380,7 @@ def _add_csv_row(out: _Rows, header: list[str], row: int, cells: list[str]):
         try:
             values.append(float(cell) if cell else None)
         except ValueError:
-            raise DecodeError(f"non-numeric value {cell!r} in column {col!r}",
+            raise DecodeError(f"non-numeric value {_inputs.excerpt(cell)} in column {col!r}",
                               row=row) from None
     if values[header.index("t")] is None:
         if all(v is None for v in values):
@@ -448,7 +448,7 @@ def _parse_csv(text: str) -> Trace:
     known = set(CHANNELS) | {"t"}
     for col in header:
         if col not in known:
-            raise DecodeError(f"unknown column {col!r} in header")
+            raise DecodeError(f"unknown column {_inputs.excerpt(col)} in header")
     if "t" not in header:
         raise DecodeError("header lacks mandatory column 't'")
     if len(set(header)) != len(header):
@@ -504,11 +504,12 @@ def _parse_jsonl(text: str) -> Trace:
             record = {}
             for key, value in obj.items():
                 if key not in known:
-                    raise DecodeError(f"unknown key {key!r}", row=row)
+                    raise DecodeError(f"unknown key {_inputs.excerpt(key)}", row=row)
                 if value is None:
                     continue  # explicit null reads the same as an absent key
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise DecodeError(f"value for {key!r} must be a number", row=row)
+                    raise DecodeError(f"value for {_inputs.excerpt(key)} must be a number",
+                                      row=row)
                 # a non-finite float is a range fault, found in row order by finish()
                 record[key] = value if isinstance(value, float) else \
                     _inputs.number(value, f"value for {key!r}", row)
@@ -583,7 +584,7 @@ def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
 
     Raises:
         ArgumentError: a length or stride not finite and positive, or more
-            window starts than a numpy index counts.
+            window starts than a numpy index counts or numpy can allocate.
     """
     if not (math.isfinite(length) and length > 0):
         raise ArgumentError(f"window length must be finite and positive, got {length}")
@@ -598,10 +599,14 @@ def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     k1 = last_t / stride
     k0 = math.floor(max(0.0, (float(t[0]) - length) / stride)) if math.isfinite(k1) else 0
     count = math.ceil(k1) + 1 - k0 if math.isfinite(k1) else math.inf
+    need = (f"window length {length} and stride {stride} need "
+            f"{count:.3g} window starts to reach t={last_t}")
     if count > np.iinfo(np.intp).max:
-        raise ArgumentError(f"window length {length} and stride {stride} need "
-                            f"{count:.3g} window starts to reach t={last_t}")
-    starts = np.arange(k0, k0 + count) * stride
+        raise ArgumentError(need)
+    try:
+        starts = np.arange(k0, k0 + count) * stride
+    except MemoryError:  # a grid numpy refuses to allocate
+        raise ArgumentError(need) from None
     starts = starts[starts < last_t]
     ends = starts + length
     lo = np.searchsorted(t, starts)

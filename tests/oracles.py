@@ -279,11 +279,21 @@ def infer_per_conclusion(fb, pack):
             log.append(FiredRule(rule=rule_name, individual=ind, iteration=iteration))
 
 
+def excerpt(value) -> str:
+    """Outside text as an error message quotes it: repr(value), or, past 40
+    characters, its first 40 and the value's length."""
+    shown = repr(value)
+    if len(shown) <= 40:
+        return shown
+    return f"{shown[:40]}... ({len(value) if isinstance(value, str) else len(shown)} characters)"
+
+
 def _coerce_number(text: str, column: str, row: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DecodeError(f"non-numeric value {text!r} in column {column!r}", row=row) from None
+        raise DecodeError(f"non-numeric value {excerpt(text)} in column {column!r}",
+                          row=row) from None
     return value
 
 
@@ -310,7 +320,7 @@ def parse_csv_rowwise(text: str) -> list[SignalFrame]:
     known = set(CHANNELS) | {"t"}
     for col in header:
         if col not in known:
-            raise DecodeError(f"unknown column {col!r} in header")
+            raise DecodeError(f"unknown column {excerpt(col)} in header")
     if "t" not in header:
         raise DecodeError("header lacks mandatory column 't'")
     if len(set(header)) != len(header):
@@ -359,14 +369,14 @@ def parse_jsonl_rowwise(text: str) -> list[SignalFrame]:
         record = {}
         for key, value in obj.items():
             if key not in known:
-                raise DecodeError(f"unknown key {key!r}", row=line_idx)
+                raise DecodeError(f"unknown key {excerpt(key)}", row=line_idx)
             if value is None:
                 continue  # explicit null reads the same as an absent key
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DecodeError(f"value for {key!r} must be a number", row=line_idx)
+                raise DecodeError(f"value for {excerpt(key)} must be a number", row=line_idx)
             if isinstance(value, int) and not abs(value) <= sys.float_info.max:
                 raise DecodeError(f"value for {key!r} must be finite and within float64 "
-                                  f"range, got {value!r}", row=line_idx)
+                                  f"range, got {excerpt(value)}", row=line_idx)
             record[key] = float(value)
         if "t" not in record:
             raise DecodeError("missing key 't'", row=line_idx)
@@ -391,6 +401,26 @@ def latest_elapsed_scan(pairs, end_t: float):
         else:
             break
     return found
+
+
+def decide_armed(levels, policy) -> list[int]:
+    """Indices where the alert fires, with an explicit armed flag: the
+    first index where the last policy.consecutive levels all reach
+    policy.level, then quiet until a lower or missing level re-arms it. The
+    package's former alert rule."""
+    out = []
+    streak = 0
+    armed = True
+    for i, level in enumerate(levels):
+        if level is not None and level >= policy.level:
+            streak += 1
+            if armed and streak >= policy.consecutive:
+                out.append(i)
+                armed = False
+        else:
+            streak = 0
+            armed = True
+    return out
 
 
 def descendants_oracle(parents: dict, classes, start: str) -> set:

@@ -271,9 +271,19 @@ DUMP = ["snapshot", "dump", "snap.json"]
     pytest.param(DUMP, {"snap.json": b"[" * 100_000}, "snapshot not valid JSON",
                  id="snapshot-nested-past-recursion-limit"),
     pytest.param(["run", "t.csv"], {"t.csv": b"t,swa\n0.0," + b"a" * 200_000 + b"\n"},
-                 "non-numeric value 'aaa", id="csv-cell-past-field-limit"),
+                 "(200000 characters) in column 'swa' (row 1)", id="csv-cell-past-field-limit"),
     pytest.param(["run", "t.csv"], {"t.csv": b't,swa\n0.0,"1' + b"0" * 139_999 + b'"\n'},
                  "field larger than field limit", id="csv-quoted-cell-past-field-limit"),
+    pytest.param(["run", "t.csv"], {"t.csv": b"t," + b"b" * 100_000 + b"\n0.0,1.0\n"},
+                 "(100000 characters) in header", id="csv-header-name-long"),
+    pytest.param(["run", "t.csv"], {"t.csv": b"t," + b"b" * 200_000 + b"\n0.0,1.0\n"},
+                 "bad CSV header", id="csv-header-name-past-field-limit"),
+    pytest.param(["run", "t.jsonl"], {"t.jsonl": b'{"t": 0.0, "' + b"k" * 200_000 + b'": 1}\n'},
+                 "(200000 characters) (row 1)", id="jsonl-key-long"),
+    pytest.param(RUN, {"c.json": {"window_length_s": "x" * 200_000}}, "config window_length_s",
+                 id="config-value-long"),
+    pytest.param(RUN, {"c.json": {"window_stride_s": 1e-17}}, "stride 1e-17 need",
+                 id="config-stride-grid-past-memory"),
     pytest.param(RUN, {"c.json": {"window_stride_s": 1e-300}}, "stride 1e-300 need",
                  id="config-stride-grid-past-index"),
     pytest.param(RUN, {"c.json": {"window_stride_s": 5e-324}}, "stride 5e-324 need",
@@ -298,7 +308,8 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, monkeypatch, capsys,
     assert main(argv) == 1
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error: ")]
-    assert errors and named in errors[0]
+    # outside text is quoted cut short, however long it is
+    assert errors and named in errors[0] and len(errors[0]) < 200
 
 
 BOM = "\ufeff".encode()

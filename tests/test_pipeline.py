@@ -8,11 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traces
-from oracles import latest_elapsed_scan
+from oracles import decide_armed, latest_elapsed_scan
 
 from fatiguekit import (
     AlertPolicy,
@@ -39,7 +39,7 @@ from fatiguekit import (
     run,
     simple_spec,
 )
-from fatiguekit.pipeline import _latest_elapsed, _perclos_by_window_end
+from fatiguekit.pipeline import WindowRecord
 from fatiguekit.scenario import ScenarioSpec, Segment
 
 LOW = FatigueLevel.LOW
@@ -88,6 +88,13 @@ class TestDecide:
     def test_policy_validation(self):
         with pytest.raises(ArgumentError):
             dataclasses.replace(POLICY, consecutive=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([None, LOW, MED, HIGH]), max_size=12),
+           st.sampled_from([LOW, MED, HIGH]), st.integers(1, 5))
+    def test_one_counter_equals_the_armed_flag(self, levels, level, consecutive):
+        policy = AlertPolicy(level=level, consecutive=consecutive)
+        assert decide(levels, policy) == decide_armed(levels, policy)
 
 
 class TestLoadConfig:
@@ -421,7 +428,8 @@ class TestPipelineConfigObject:
 
 
 class TestClosurePass:
-    """The closure-window pass keeps only perclos80, and joins it by bisection."""
+    """run joins into each window the closure fraction of the last closure
+    window with two or more eyelid samples that ends by the window's end."""
 
     @staticmethod
     def full_pass(trace, cfg):
@@ -434,38 +442,45 @@ class TestClosurePass:
             out.append((w.end_t, fv["perclos80"]))
         return out
 
+    def assert_joined(self, trace, cfg):
+        """Every record's perclos80 is the linear scan's, bit for bit."""
+        pairs = self.full_pass(trace, cfg)
+        report = run(trace, cfg)
+        for r in report.records:
+            assert r.features.perclos80 == latest_elapsed_scan(pairs, r.window.end_t)
+        return pairs, report
+
     @pytest.mark.parametrize("regime,threshold", [("drowsy", 0.8), ("alert", 0.3)])
     def test_equals_eye_features_on_scenario(self, regime, threshold):
         cfg = cfg_from({"features": {"eye_closed_threshold": threshold}})
         trace = Trace.from_frames(generate_scenario(simple_spec(regime, duration=400.0)))
-        ends, values = _perclos_by_window_end(trace, cfg)
-        want = self.full_pass(trace, cfg)
-        assert len(want) > 10
-        assert list(zip(ends, values)) == want  # bit for bit
+        pairs, report = self.assert_joined(trace, cfg)
+        assert len(pairs) > 10
+        assert sum(r.features.perclos80 is not None for r in report.records) > 10
 
     @settings(max_examples=60, deadline=None)
     @given(traces(max_frames=40))
     def test_equals_eye_features_on_random_traces(self, frames):
         cfg = cfg_from({"perclos_window_s": 9.0, "window_stride_s": 2.0})
-        trace = Trace.from_frames(frames)
-        ends, values = _perclos_by_window_end(trace, cfg)
-        assert list(zip(ends, values)) == self.full_pass(trace, cfg)
+        self.assert_joined(Trace.from_frames(frames), cfg)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.0, 1e4), max_size=12, unique=True),
-           st.integers(0, 12),
-           st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 0.5, -0.5]),
-           st.sampled_from([-math.inf, 0.0, math.inf]))
-    @example(ends=[180.0, 190.0], pick=1, offset=-1e-9, nudge=0.0)
-    @example(ends=[180.0, 190.0], pick=1, offset=-1e-9, nudge=-math.inf)
-    @example(ends=[180.0, 190.0], pick=0, offset=-1e-9, nudge=math.inf)
-    def test_bisect_join_equals_linear_scan(self, ends, pick, offset, nudge):
-        ends = sorted(ends)
-        values = [float(i) for i in range(len(ends))]
-        base = ends[pick] if pick < len(ends) else 60.0
-        end_t = math.nextafter(base + offset, nudge) if nudge else base + offset
-        assert _latest_elapsed(ends, values, end_t) == \
-            latest_elapsed_scan(list(zip(ends, values)), end_t)
+    def test_join_where_window_ends_differ_only_by_rounding(self):
+        # at stride 0.1, window k ends at k * 0.1 + 2.0 and closure window
+        # k - 30 at (k - 30) * 0.1 + 5.0: the same end in exact arithmetic,
+        # but rounded, some closure ends lie a hair past the window's end
+        cfg = cfg_from({"window_length_s": 2.0, "perclos_window_s": 5.0,
+                        "window_stride_s": 0.1})
+        frames = generate_scenario(simple_spec("drowsy", duration=40.0))
+        trace = Trace.from_frames([SignalFrame(t=f.t, eye_closure=f.eye_closure)
+                                   for f in frames])
+        pairs, report = self.assert_joined(trace, cfg)
+        past = [(r, value) for r in report.records for end, value in pairs
+                if r.window.end_t < end <= r.window.end_t + 1e-9]
+        assert past
+        # such a closure window changes the value a window reads: a join
+        # without the tolerance would read an older one
+        assert any(value != next((v for end, v in reversed(pairs) if end <= r.window.end_t),
+                                 None) for r, value in past)
 
 
 class TestKnowledgeLayerPerWindow:
@@ -538,6 +553,18 @@ def joined_overflow_trace() -> Trace:
 
 
 class TestFeatureVectorPerWindow:
+    def test_run_builds_one_window_record_per_window(self, monkeypatch):
+        built = []
+        init = WindowRecord.__init__
+
+        def counted(record, *args, **kwargs):
+            init(record, *args, **kwargs)
+            built.append(record)
+        monkeypatch.setattr(WindowRecord, "__init__", counted)
+        report = run(generate_scenario(simple_spec("drowsy", duration=120.0)), load_config())
+        assert report.alert_indices()
+        assert built == list(report.records)
+
     def test_run_builds_one_feature_vector_per_window(self, monkeypatch):
         built = []
         init = FeatureVector.__init__

@@ -241,9 +241,11 @@ class TestMakeWindows:
         with pytest.raises(ArgumentError):
             make_windows(Trace.from_frames([]), 5.0, -1.0)
 
-    @pytest.mark.parametrize("stride", [1e-300, 5e-324])
+    @pytest.mark.parametrize("stride", [1e-17, 1e-300, 5e-324])
     def test_stride_too_small_to_count_the_grid(self, stride):
-        # 0.1 / 1e-300 starts overflow a numpy index; 0.1 / 5e-324 is inf
+        # 0.1 / 1e-17 starts fit a numpy index but not memory (numpy refuses
+        # 71 PiB at once); 0.1 / 1e-300 overflow a numpy index; 0.1 / 5e-324
+        # is inf
         trace = Trace.from_frames([SignalFrame(t=0.0), SignalFrame(t=0.1)])
         with pytest.raises(ArgumentError, match=f"length 10.0 and stride {stride} need"):
             make_windows(trace, 10.0, stride)
