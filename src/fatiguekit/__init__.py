@@ -62,7 +62,6 @@ from .pipeline import (
     FatigueReport,
     PipelineConfig,
     WindowRecord,
-    decide,
     default_config_text,
     load_config,
     run,
@@ -125,7 +124,7 @@ __all__ = [
     "assert_fact", "assert_value", "default_taxonomy",
     "load_snapshot", "query_class", "save_snapshot",
     "AlertPolicy", "FatigueReport", "PipelineConfig", "WindowRecord",
-    "decide", "default_config_text", "load_config", "run",
+    "default_config_text", "load_config", "run",
     "Band", "QualificationScheme", "QualifiedFact",
     "default_scheme", "individual_name", "load_scheme", "qualify",
     "FatigueLevel", "FiredRule", "FusionWeights", "Rule",

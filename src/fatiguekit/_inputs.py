@@ -10,14 +10,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .errors import DecodeError
-
-def excerpt(value) -> str:
-    """repr(value) for an error message; past 40 characters, its first 40
-    and the value's full length."""
-    shown = repr(value)
-    size = len(value) if isinstance(value, str) else len(shown)
-    return shown if len(shown) <= 40 else f"{shown[:40]}... ({size} characters)"
+from .errors import DecodeError, excerpt
 
 
 def text(data: bytes | str, what: str) -> str:

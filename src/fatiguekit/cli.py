@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import DecodeError, FatigueKitError
+from .errors import DecodeError, FatigueKitError, excerpt
 from .kstore import default_taxonomy, load_snapshot
 from .pipeline import load_config, run
 from .qualify import default_scheme
@@ -33,7 +33,7 @@ def _trace_format(path: Path) -> str:
     if suffix == ".jsonl":
         return "jsonl"
     raise DecodeError(
-        f"cannot tell trace format from extension {suffix!r}; use .csv or .jsonl")
+        f"cannot tell trace format from extension {excerpt(suffix)}; use .csv or .jsonl")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -97,11 +97,16 @@ def _cmd_snapshot_dump(args: argparse.Namespace) -> int:
         "engine_version": snap.engine_version,
     }
     print(json.dumps(meta, sort_keys=True))
-    for ind in sorted(fb.individuals()):
-        classes = ", ".join(sorted(fb.classes_of(ind)))
-        print(f"{ind}: {classes}")
-        values = sorted((p, v) for i, p, v in fb.data_properties if i == ind)
-        for prop, value in values:
+    # each individual's classes and (property, value) pairs, read in one pass
+    classes: dict[str, list[str]] = {}
+    values: dict[str, list[tuple[str, float]]] = {}
+    for ind, cls in fb.memberships:
+        classes.setdefault(ind, []).append(cls)
+    for ind, prop, value in fb.data_properties:
+        values.setdefault(ind, []).append((prop, value))
+    for ind in sorted(classes.keys() | values.keys()):
+        print(f"{ind}: {', '.join(sorted(classes.get(ind, ())))}")
+        for prop, value in sorted(values.get(ind, ())):
             print(f"  {prop} = {value}")
     return 0
 

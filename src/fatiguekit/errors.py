@@ -3,9 +3,19 @@
 Every error raised on purpose derives from FatigueKitError so callers can
 catch one base class at the CLI boundary. Parsing errors carry position
 information (row, line, column) where the input format makes that meaningful.
+Outside text is quoted in a message through `excerpt`, so its length is
+bounded however long the text is.
 """
 
 from __future__ import annotations
+
+
+def excerpt(value) -> str:
+    """repr(value) for an error message; past 40 characters, its first 40
+    and the value's full length."""
+    shown = repr(value)
+    size = len(value) if isinstance(value, str) else len(shown)
+    return shown if len(shown) <= 40 else f"{shown[:40]}... ({size} characters)"
 
 
 class FatigueKitError(Exception):
@@ -77,9 +87,9 @@ class UnknownClassError(FatigueKitError):
         self.rule = rule
         self.line = line
         self.col = col
-        msg = f"unknown class {class_name!r}"
+        msg = f"unknown class {excerpt(class_name)}"
         if rule is not None:
-            msg += f" in rule {rule!r}"
+            msg += f" in rule {excerpt(rule)}"
         if line is not None:
             msg += f" at {line}:{col}"
         super().__init__(msg)
@@ -102,7 +112,7 @@ class DuplicateRuleNameError(FatigueKitError):
         self.name = name
         self.line = line
         where = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate rule name {name!r}{where}")
+        super().__init__(f"duplicate rule name {excerpt(name)}{where}")
 
 
 class AmbiguityError(FatigueKitError):

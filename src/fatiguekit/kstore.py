@@ -2,9 +2,9 @@
 
 The taxonomy is an acyclic subclass graph (a class may declare several
 parents). A fact base holds class memberships and data-property triples for
-named individuals. Both structures are immutable; every update returns a
-new fact base and the one you held keeps meaning what it meant, which is
-what lets a saved snapshot serve as a faithful historical record.
+named individuals. Both structures are immutable: every update returns a
+new fact base and the one you held keeps meaning what it meant, and a
+taxonomy can keep its subclass closures and snapshot text for its life.
 
 Snapshots serialize to canonical JSON: sorted keys, sorted arrays, UTF-8,
 one trailing newline, so saving the same store twice yields identical bytes.
@@ -117,15 +117,6 @@ class FactBase:
         if len(keys) != len(set(keys)):
             raise ArgumentError("duplicate (individual, property) pair")
 
-    def individuals(self) -> frozenset[str]:
-        inds = {i for i, _ in self.memberships}
-        inds.update(i for i, _, _ in self.data_properties)
-        return frozenset(inds)
-
-    def classes_of(self, individual: str) -> frozenset[str]:
-        """Asserted classes only; use query_class for the closed reading."""
-        return frozenset(c for i, c in self.memberships if i == individual)
-
 
 def assert_fact(fb: FactBase, individual: str, cls: str) -> FactBase:
     """A new fact base that also holds (individual, cls). Idempotent."""
@@ -235,7 +226,8 @@ def _decode_taxonomy(obj: dict, what: str) -> Taxonomy:
     parents = {}
     for child, ps in sub.items():
         if not isinstance(ps, list) or not all(isinstance(p, str) for p in ps):
-            raise DecodeError(f"{what} taxonomy.subclass_of[{child!r}] must list classes")
+            raise DecodeError(
+                f"{what} taxonomy.subclass_of[{_inputs.excerpt(child)}] must list classes")
         parents[child] = tuple(ps)
     try:
         return Taxonomy(classes=frozenset(classes), parents=parents)
@@ -256,16 +248,18 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
     for entry in _expect(obj, "memberships", list, "snapshot"):
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(isinstance(x, str) for x in entry)):
-            raise DecodeError(f"snapshot membership {entry!r} must be [individual, class]")
+            raise DecodeError(
+                f"snapshot membership {_inputs.excerpt(entry)} must be [individual, class]")
         memberships.add((entry[0], entry[1]))
     data_properties = set()
     for entry in _expect(obj, "data_properties", list, "snapshot"):
         if not (isinstance(entry, list) and len(entry) == 3
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise DecodeError(
-                f"snapshot data property {entry!r} must be [individual, property, number]")
+                f"snapshot data property {_inputs.excerpt(entry)} "
+                "must be [individual, property, number]")
         # checked finite, but an integer value stays an integer
-        _inputs.number(entry[2], f"snapshot data property {entry[:2]!r} value")
+        _inputs.number(entry[2], f"snapshot data property {_inputs.excerpt(entry[:2])} value")
         data_properties.add((entry[0], entry[1], entry[2]))
 
     meta = _expect(obj, "meta", dict, "snapshot")

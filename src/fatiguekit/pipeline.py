@@ -6,8 +6,8 @@ fresh fact base seeded with the taxonomy and one anchor individual per
 verdict source, runs the rule pack to fixpoint, reads the per-source levels
 and fuses them into an overall level. Each window is finished as it closes:
 its closure fraction is joined from the closure windows elapsed by then,
-its alert is decided from the run of elevated overall levels it ends, once
-per run, and its snapshot, when one is due, is written.
+its alert is decided by `AlertPolicy.step`, once per run of elevated
+overall levels, and its snapshot, when one is due, is written.
 
 Everything is deterministic: the same trace and config produce the same
 report bytes and the same snapshot bytes.
@@ -58,11 +58,13 @@ class AlertPolicy:
             raise ArgumentError(
                 f"alert window count must be >= 1, got {self.consecutive}")
 
-    def streak(self, before: int, level: FatigueLevel | None) -> int:
+    def step(self, before: int, level: FatigueLevel | None) -> tuple[int, bool]:
         """The run of levels at or above self.level after one more level,
-        given the run `before` it; a lower or missing level ends the run.
-        The alert fires where the run reaches `consecutive`."""
-        return before + 1 if level is not None and level >= self.level else 0
+        given the run `before` it (a lower or missing level ends the run),
+        and whether the alert fires on that level: where the run reaches
+        `consecutive`, so once per run."""
+        after = before + 1 if level is not None and level >= self.level else 0
+        return after, after == self.consecutive
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,14 @@ def load_config(data: bytes | str | None = None, *,
         override = _inputs.json_object(data, "config")
         unknown = set(override) - set(defaults)
         if unknown:
-            raise DecodeError(f"unknown config keys: {sorted(unknown)}")
+            raise DecodeError(f"unknown config keys: {_inputs.excerpt(sorted(unknown))}")
         obj.update(override)
     for block in ("features", "profile"):  # merged key by key over their defaults
         given = _inputs.of_type(obj[block], dict, f"config {block}", "an object")
         unknown = set(given) - set(defaults[block])
         if unknown:
-            raise DecodeError(f"unknown {block} config keys: {sorted(unknown)}")
+            raise DecodeError(
+                f"unknown {block} config keys: {_inputs.excerpt(sorted(unknown))}")
         obj[block] = {**defaults[block], **given}
 
     feat = obj["features"]
@@ -161,7 +164,8 @@ def load_config(data: bytes | str | None = None, *,
     weights = _inputs.of_type(obj["fusion_weights"], dict, "config fusion_weights", "an object")
     cutoffs = obj["fusion_cutoffs"]
     if not (isinstance(cutoffs, list) and len(cutoffs) == 2):
-        raise DecodeError(f"config fusion_cutoffs must be two numbers, got {cutoffs!r}")
+        raise DecodeError(
+            f"config fusion_cutoffs must be two numbers, got {_inputs.excerpt(cutoffs)}")
     cutoffs = tuple(_inputs.number(c, "config fusion_cutoffs") for c in cutoffs)
     if not cutoffs[0] < cutoffs[1]:
         raise DecodeError(f"config fusion_cutoffs must increase, got {list(cutoffs)}")
@@ -173,8 +177,9 @@ def load_config(data: bytes | str | None = None, *,
         scheme=scheme,
         taxonomy=taxonomy,
         rule_pack=pack,
-        weights=FusionWeights(weights={k: _inputs.number(v, f"config fusion_weights.{k}")
-                                       for k, v in weights.items()}),
+        weights=FusionWeights(weights={
+            k: _inputs.number(v, f"config fusion_weights[{_inputs.excerpt(k)}]")
+            for k, v in weights.items()}),
         fusion_cutoffs=cutoffs,
         alert=AlertPolicy(
             level=FatigueLevel.from_name(
@@ -229,20 +234,6 @@ class FatigueReport:
         return [i for i, r in enumerate(self.records) if r.alert]
 
 
-def decide(levels: list[FatigueLevel | None], policy: AlertPolicy) -> list[int]:
-    """Indices where the alert fires: once per run of levels at or above
-    policy.level, at the index where the run reaches policy.consecutive
-    levels. A lower or missing level ends the run.
-    """
-    out: list[int] = []
-    streak = 0
-    for i, level in enumerate(levels):
-        streak = policy.streak(streak, level)
-        if streak == policy.consecutive:
-            out.append(i)
-    return out
-
-
 def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     """Process a whole trace.
 
@@ -250,13 +241,13 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
     eyelid-closure fraction is computed over its own longer sliding window,
     consumed in order as those windows elapse: each vehicular window picks
     up the latest closure window that has fully elapsed by its end. The
-    alert is decided as the window closes, once per run of elevated overall
-    levels (see decide). Windows missing channels still produce a degraded
-    record with whatever features ran, flagged under "errors". When a
-    snapshot directory is set, the post-inference fact base of every
-    `snapshot_every_windows`-th window is written as that window closes, so
-    a run that raises part-way leaves the snapshots of the windows before
-    the fault.
+    alert is decided as the window closes, by one `AlertPolicy.step`, once
+    per run of elevated overall levels. Windows missing channels still
+    produce a degraded record with whatever features ran, flagged under
+    "errors". When a snapshot directory is set, the post-inference fact
+    base of every `snapshot_every_windows`-th window is written as that
+    window closes, so a run that raises part-way leaves the snapshots of
+    the windows before the fault.
     """
     if cfg is None:
         cfg = load_config()
@@ -305,10 +296,10 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
                 notes = list(notes)
                 notes.append("fusion skipped: contributing sources all have zero weight")
 
-        streak = cfg.alert.streak(streak, overall)
+        streak, alert = cfg.alert.step(streak, overall)
         records.append(WindowRecord(
             window=w, features=fv, facts=facts, fired_rules=tuple(fired), levels=levels,
-            overall=overall, alert=streak == cfg.alert.consecutive, errors=tuple(notes)))
+            overall=overall, alert=alert, errors=tuple(notes)))
 
         if out_dir is not None and index % cfg.snapshot_every_windows == 0:
             (out_dir / f"window_{index:05d}.snapshot.json").write_bytes(save_snapshot(

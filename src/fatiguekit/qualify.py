@@ -19,7 +19,7 @@ from functools import cache
 from importlib import resources
 
 from . import _inputs
-from .errors import SchemeError, UnboundFeatureError
+from .errors import SchemeError, UnboundFeatureError, excerpt
 from .features import FEATURE_NAMES, FeatureVector
 from .signals import DriverProfile, Sex
 
@@ -42,8 +42,8 @@ class Band:
             raise SchemeError("band label must be non-empty")
         if self.lower is not None and self.upper is not None \
                 and not self.lower < self.upper:
-            raise SchemeError(
-                f"band {self.label!r}: lower {self.lower} must be < upper {self.upper}")
+            raise SchemeError(f"band {excerpt(self.label)}: "
+                              f"lower {self.lower} must be < upper {self.upper}")
 
     def contains(self, value: float) -> bool:
         """lower <= value < upper; nan lies in no band."""
@@ -59,17 +59,17 @@ def _validate_band_set(feature: str, bands: tuple[Band, ...]) -> tuple[Band, ...
     for a, b in zip(ordered, ordered[1:]):
         if a.upper is None:
             raise SchemeError(
-                f"{feature}: bands {a.label!r} and {b.label!r} overlap "
+                f"{feature}: bands {excerpt(a.label)} and {excerpt(b.label)} overlap "
                 f"[{b.lower}, inf)")
         if b.lower is None or b.lower < a.upper:
             lo = b.lower if b.lower is not None else "-inf"
             raise SchemeError(
-                f"{feature}: bands {a.label!r} and {b.label!r} overlap "
+                f"{feature}: bands {excerpt(a.label)} and {excerpt(b.label)} overlap "
                 f"[{lo}, {a.upper})")
         if b.lower > a.upper:
             raise SchemeError(
                 f"{feature}: gap [{a.upper}, {b.lower}) between "
-                f"{a.label!r} and {b.label!r}")
+                f"{excerpt(a.label)} and {excerpt(b.label)}")
     first, last = ordered[0], ordered[-1]
     if feature in SIGNED_FEATURES:
         if first.lower is not None:
@@ -78,10 +78,10 @@ def _validate_band_set(feature: str, bands: tuple[Band, ...]) -> tuple[Band, ...
                 f"got lower {first.lower}")
     elif first.lower is not None and first.lower > 0:
         raise SchemeError(
-            f"{feature}: gap [0, {first.lower}) before first band {first.label!r}")
+            f"{feature}: gap [0, {first.lower}) before first band {excerpt(first.label)}")
     if last.upper is not None:
         raise SchemeError(
-            f"{feature}: gap [{last.upper}, inf) after last band {last.label!r}")
+            f"{feature}: gap [{last.upper}, inf) after last band {excerpt(last.label)}")
     return tuple(ordered)
 
 
@@ -144,7 +144,7 @@ def _bands_from_json(feature: str, raw) -> tuple[Band, ...]:
     for entry in _inputs.of_type(raw, list, f"scheme {feature}", "a band list"):
         if not isinstance(entry, dict) or set(entry) != {"label", "lower", "upper"}:
             raise SchemeError(
-                f"{feature}: each band needs exactly label/lower/upper, got {entry!r}")
+                f"{feature}: each band needs exactly label/lower/upper, got {excerpt(entry)}")
         for bound in ("lower", "upper"):
             if entry[bound] is not None:  # finite, and read as written: 6 stays 6
                 _inputs.number(entry[bound], f"scheme {feature} {bound}")
@@ -158,7 +158,7 @@ def _bands_from_mapping(obj: dict) -> dict:
     bands = {}
     for feature, raw in obj.items():
         if feature not in FEATURE_NAMES:
-            raise SchemeError(f"unknown feature {feature!r} in scheme")
+            raise SchemeError(f"unknown feature {excerpt(feature)} in scheme")
         if isinstance(raw, dict):
             if set(raw) != {"by_sex"}:
                 raise SchemeError(f"{feature}: expected a band list or a by_sex mapping")
@@ -169,7 +169,7 @@ def _bands_from_mapping(obj: dict) -> dict:
                 try:
                     sex = Sex(sex_name)
                 except ValueError:
-                    raise SchemeError(f"{feature}: unknown sex {sex_name!r}") from None
+                    raise SchemeError(f"{feature}: unknown sex {excerpt(sex_name)}") from None
                 per_sex[sex] = _bands_from_json(feature, bands_raw)
             bands[feature] = per_sex
         else:

@@ -30,6 +30,7 @@ from .errors import (
     EmptyInputError,
     RuleSyntaxError,
     UnknownClassError,
+    excerpt,
 )
 from .kstore import FactBase, Taxonomy, default_taxonomy, ontology, query_class
 from .qualify import QualificationScheme
@@ -47,7 +48,7 @@ class FatigueLevel(IntEnum):
         try:
             return cls[name.upper()]
         except KeyError:
-            raise ArgumentError(f"unknown fatigue level {name!r}") from None
+            raise ArgumentError(f"unknown fatigue level {excerpt(name)}") from None
 
     def display(self) -> str:
         return self.name.capitalize()
@@ -138,7 +139,7 @@ class _Parser:
     def fail(self, expected: str, tok: _Token | None = None):
         tok = tok or self.peek()
         raise RuleSyntaxError(
-            f"expected {expected}, found {tok.text!r}",
+            f"expected {expected}, found {excerpt(tok.text)}",
             line=tok.line, col=tok.col, expected=expected)
 
     def expect(self, text: str) -> _Token:
@@ -209,7 +210,7 @@ def _parse_rule(p: _Parser) -> tuple[Rule, _Token, list[_Token]]:
             line=kw.line, col=kw.col, expected="instance(?x, C)")
     if var_tok.text != anchor[0]:
         raise RuleSyntaxError(
-            f"classify uses {var_tok.text!r} but the anchor is {anchor[0]!r}",
+            f"classify uses {excerpt(var_tok.text)} but the anchor is {excerpt(anchor[0])}",
             line=var_tok.line, col=var_tok.col, expected=anchor[0])
 
     rule = Rule(
@@ -369,18 +370,23 @@ def _nearest_level_classes(taxonomy: Taxonomy, cls: str
 
 @dataclass(frozen=True)
 class FusionWeights:
-    """Finite, non-negative weight per source; at least one must be positive."""
+    """Finite, non-negative weight per source; at least one must be positive,
+    and their sum must be finite, as `fuse` sums them."""
 
     weights: dict[str, float]
 
     def __post_init__(self):
         for source, w in self.weights.items():
             if not math.isfinite(w):
-                raise ArgumentError(f"weight for {source!r} must be finite, got {w}")
+                raise ArgumentError(f"weight for {excerpt(source)} must be finite, got {w}")
             if w < 0:
-                raise ArgumentError(f"weight for {source!r} must be >= 0, got {w}")
+                raise ArgumentError(f"weight for {excerpt(source)} must be >= 0, got {w}")
         if not any(w > 0 for w in self.weights.values()):
             raise ArgumentError("at least one fusion weight must be positive")
+        try:
+            math.fsum(self.weights.values())
+        except OverflowError:
+            raise ArgumentError("fusion_weights must sum within float64's range") from None
 
     def get(self, source: str) -> float:
         # unknown sources participate with unit weight rather than vanishing

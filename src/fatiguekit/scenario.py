@@ -35,7 +35,7 @@ class Segment:
 
     def __post_init__(self):
         if self.regime not in REGIMES:
-            raise ScenarioSpecError(f"unknown regime {self.regime!r}")
+            raise ScenarioSpecError(f"unknown regime {_inputs.excerpt(self.regime)}")
         if not self.start < self.end:
             raise ScenarioSpecError(
                 f"segment bounds reversed: [{self.start}, {self.end})")
@@ -76,7 +76,7 @@ def parse_scenario_spec(data: bytes | str) -> ScenarioSpec:
     known = {"duration", "sample_rate", "seed", "segments"}
     unknown = set(obj) - known
     if unknown:
-        raise ScenarioSpecError(f"unknown spec keys: {sorted(unknown)}")
+        raise ScenarioSpecError(f"unknown spec keys: {_inputs.excerpt(sorted(unknown))}")
     if "duration" not in obj:
         raise ScenarioSpecError("spec needs a duration")
     segments = []
@@ -85,7 +85,7 @@ def parse_scenario_spec(data: bytes | str) -> ScenarioSpec:
     for i, raw in enumerate(raw_segments):
         if not isinstance(raw, dict) or set(raw) != {"start", "end", "regime"}:
             raise ScenarioSpecError(
-                f"segment {i} needs exactly start/end/regime, got {raw!r}")
+                f"segment {i} needs exactly start/end/regime, got {_inputs.excerpt(raw)}")
         key = f"scenario spec segments[{i}]"
         segments.append(Segment(
             start=_inputs.number(raw["start"], f"{key}.start"),

@@ -257,8 +257,8 @@ class DriverProfile:
         try:
             object.__setattr__(self, "sex", Sex(self.sex))
         except ValueError:
-            raise ArgumentError(
-                f"unknown sex {self.sex!r}: use male, female or unspecified") from None
+            raise ArgumentError(f"unknown sex {_inputs.excerpt(self.sex)}: "
+                                "use male, female or unspecified") from None
 
 
 # Rows to a block, whose lines are split and cells converted together.

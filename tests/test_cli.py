@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import json
+import time
 import warnings
 
 import pytest
@@ -8,9 +10,23 @@ from hypothesis import strategies as st
 
 from importlib import resources
 
-from fatiguekit import default_config_text, generate_scenario, save_snapshot, simple_spec
+from fatiguekit import (
+    default_config_text,
+    generate_scenario,
+    load_config,
+    parse_trace,
+    run,
+    save_snapshot,
+    simple_spec,
+)
 from fatiguekit.cli import main
-from fatiguekit.kstore import FactBase, KnowledgeSnapshot, assert_fact, default_taxonomy
+from fatiguekit.kstore import (
+    FactBase,
+    KnowledgeSnapshot,
+    Taxonomy,
+    assert_fact,
+    default_taxonomy,
+)
 from fatiguekit.signals import serialize_trace
 
 STOCK_PACK_DIR = resources.files("fatiguekit") / "data" / "rules"
@@ -193,6 +209,11 @@ class TestRulesCheck:
         assert "NoSuchClass" in capsys.readouterr().err
 
 
+# sha256 of `snapshot dump`'s output over the drive_10hz contract case's
+# snapshot files, one every third window, in file name order
+CONTRACT_DUMP_DIGEST = "4b2564bcc5ed9e5759b36fa822ec3ef899499f3c6a187643eece9d0fdb11d9b8"
+
+
 class TestSnapshotDump:
     def test_dump(self, tmp_path, capsys):
         fb = FactBase(taxonomy=default_taxonomy(), timestamp=60.0)
@@ -206,6 +227,58 @@ class TestSnapshotDump:
         assert meta["trace_id"] == "demo"
         assert meta["window"] == [0.0, 60.0]
         assert any(line.startswith("steering@0.0:") for line in out[1:])
+
+    def test_dump_bytes(self, tmp_path, capsys):
+        # classes sorted after each name, then its properties; "c" has
+        # properties and no class, and an integer value stays an integer
+        taxonomy = Taxonomy(classes=frozenset({"A", "B", "C"}), parents={})
+        fb = FactBase(taxonomy=taxonomy, timestamp=5.0,
+                      memberships=frozenset({("b", "B"), ("b", "A"), ("a", "C")}),
+                      data_properties=frozenset({("b", "has_y", 2.5), ("b", "has_x", 1),
+                                                 ("c", "has_x", -0.5)}))
+        path = tmp_path / "w.snapshot.json"
+        path.write_bytes(save_snapshot(
+            KnowledgeSnapshot(factbase=fb, trace_id="demo", window=(0.0, 5.0))))
+        assert main(["snapshot", "dump", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{"engine_version": "0.1.0", "timestamp": 5.0, "trace_id": "demo", '
+            '"window": [0.0, 5.0]}\n'
+            "a: C\n"
+            "b: A, B\n"
+            "  has_x = 1\n"
+            "  has_y = 2.5\n"
+            "c: \n"
+            "  has_x = -0.5\n")
+
+    def test_dump_bytes_on_contract_snapshots(self, tmp_path, capsys):
+        import test_contract
+        cfg = load_config(json.dumps({"snapshot_every_windows": 3}),
+                          snapshot_dir_override=str(tmp_path), trace_id="drive_10hz_csv")
+        run(parse_trace(test_contract.drive_10hz(), "csv"), cfg)
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            assert main(["snapshot", "dump", str(path)]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == CONTRACT_DUMP_DIGEST
+
+    def test_dump_reads_the_fact_base_once(self, tmp_path, capsys):
+        # 20 000 individuals, half with a data property: the dump reads the
+        # fact base once, so this takes well under a second, not the ~45 s
+        # of one scan of the fact base per individual
+        taxonomy = default_taxonomy()
+        fb = FactBase(
+            taxonomy=taxonomy,
+            memberships=frozenset((f"ind{k:05d}", "SteeringWheelMeasurementFatigue")
+                                  for k in range(20_000)),
+            data_properties=frozenset((f"ind{k:05d}", "has_x", float(k))
+                                      for k in range(0, 20_000, 2)))
+        path = tmp_path / "big.snapshot.json"
+        path.write_bytes(save_snapshot(KnowledgeSnapshot(factbase=fb)))
+        start = time.perf_counter()
+        assert main(["snapshot", "dump", str(path)]) == 0
+        elapsed = time.perf_counter() - start
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 20_000 + 10_000
+        assert elapsed < 5.0
 
     def test_dump_garbage(self, tmp_path, capsys):
         path = tmp_path / "w.snapshot.json"
@@ -297,6 +370,63 @@ DUMP = ["snapshot", "dump", "snap.json"]
         for band in STOCK_SCHEME["mean_swa_abs"]]}},
                  "unknown class 'MeanSWA_Small' in rule 'steering_low'",
                  id="stock-pack-against-scheme-taxonomy"),
+    # 300-character outside values, each quoted cut short
+    pytest.param(["run", "t." + "x" * 300], {}, "cannot tell trace format",
+                 id="trace-extension-long"),
+    pytest.param(RUN, {"c.json": {"alert_level": "x" * 300}}, "unknown fatigue level",
+                 id="config-alert-level-long"),
+    pytest.param(RUN, {"c.json": {"k" * 300: 1}}, "unknown config keys",
+                 id="config-unknown-key-long"),
+    pytest.param(RUN, {"c.json": {"features": {"k" * 300: 1}}}, "unknown features config keys",
+                 id="config-unknown-features-key-long"),
+    pytest.param(RUN, {"c.json": {"fusion_cutoffs": [0.5] * 300}}, "fusion_cutoffs",
+                 id="config-fusion-cutoffs-long"),
+    pytest.param(RUN, {"c.json": {"profile": {"sex": "s" * 300}}}, "unknown sex",
+                 id="profile-sex-long"),
+    pytest.param(RUN, {"c.json": {"scheme_path": "s.json"}, "s.json": {"f" * 300: []}},
+                 "unknown feature", id="scheme-unknown-feature-long"),
+    pytest.param(RUN, {"c.json": {"scheme_path": "s.json"}, "s.json": {"mean_swa_abs": [
+        {"label": "A", "lower": 0.0, "upper": None, "x" * 300: 1}]}},
+                 "mean_swa_abs: each band needs", id="scheme-band-extra-key-long"),
+    pytest.param(RUN, {"c.json": {"scheme_path": "s.json"},
+                       "s.json": {"mean_bpm": {"by_sex": {"s" * 300: []}}}},
+                 "mean_bpm: unknown sex", id="scheme-unknown-sex-long"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "k" * 300: 1}}, "unknown spec keys",
+                 id="spec-unknown-key-long"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "segments": [
+        {"start": 0.0, "end": 20.0, "regime": "r" * 300}]}}, "unknown regime",
+                 id="spec-regime-long"),
+    pytest.param(GEN, {"spec.json": {**SPEC, "segments": [
+        {"start": 0.0, "end": 20.0, "regime": "alert", "x" * 300: 1}]}},
+                 "segment 0 needs exactly", id="spec-segment-extra-key-long"),
+    pytest.param(["rules", "check", "bad.rules"], {"bad.rules": (
+        "rule r1: when instance(?x, " + "C" * 300
+        + ") then classify(?x, SteeringWheelMeasurmentFatigue_Low)\n").encode()},
+                 "unknown class", id="pack-unknown-class-long"),
+    pytest.param(["rules", "check", "bad.rules"], {"bad.rules": b"rule r1 " + b"x" * 300},
+                 "expected ':', found", id="pack-token-long"),
+    pytest.param(["rules", "check", "bad.rules"], {"bad.rules": 2 * (
+        b"rule " + b"r" * 300 + b": when instance(?x, SteeringWheelMeasurementFatigue) "
+        b"then classify(?x, SteeringWheelMeasurmentFatigue_Low)\n")},
+                 "duplicate rule name", id="pack-duplicate-name-long"),
+    pytest.param(RUN, {"c.json": {"scheme_path": "s.json"}, "s.json": {"max_swa_abs": [
+        {"label": "a" * 300, "lower": 0.0, "upper": None},
+        {"label": "b" * 300, "lower": 5.0, "upper": None}]}},
+                 "max_swa_abs: bands", id="scheme-band-labels-long"),
+    pytest.param(DUMP, {"snap.json": {**SNAPSHOT, "memberships": [["a" * 300]]}},
+                 "snapshot membership", id="snapshot-membership-shape-long"),
+    pytest.param(DUMP, {"snap.json": {**SNAPSHOT, "memberships": [["a", "B" * 300]]}},
+                 "unknown class", id="snapshot-membership-class-long"),
+    pytest.param(DUMP, {"snap.json": {**SNAPSHOT, "taxonomy": {
+        "classes": ["A"], "subclass_of": {"Z" * 300: ["A"]}}}},
+                 "taxonomy invalid: unknown class", id="snapshot-taxonomy-class-long"),
+    pytest.param(RUN, {"c.json": {"fusion_weights": {"w" * 300: "x"}}},
+                 "config fusion_weights[", id="config-fusion-weights-key-long"),
+    pytest.param(RUN, {"c.json": {"fusion_weights": {"w" * 300: -1.0}}},
+                 "must be >= 0", id="config-fusion-weight-negative-key-long"),
+    # the sum of these weights overflows float64, which fusion must not meet
+    pytest.param(RUN, {"c.json": {"fusion_weights": {"A": 1e308, "B": 1e308}}},
+                 "fusion_weights", id="config-fusion-weights-sum-overflows"),
 ])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, monkeypatch, capsys,
                                                   argv, files, named):

@@ -46,6 +46,10 @@ class TestTaxonomy:
             Taxonomy(classes=frozenset({"A", "B"}),
                      parents={"A": ("B",), "B": ("A",)})
 
+    def test_parents_of_unknown_child_rejected(self):
+        with pytest.raises(UnknownClassError, match="'Z'"):
+            Taxonomy(classes=frozenset({"A"}), parents={"Z": ("A",)})
+
     def test_cycle_message_names_the_path(self):
         # the search may enter the cycle at either class
         with pytest.raises(ArgumentError,
@@ -270,6 +274,20 @@ class TestSnapshots:
     def test_missing_key(self):
         with pytest.raises(DecodeError):
             load_snapshot(b'{"taxonomy": {"classes": [], "subclass_of": {}}}')
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"memberships": {}}, "'memberships' has the wrong type",
+                     id="key-of-wrong-type"),
+        pytest.param({"meta": {"window": [1.0]}}, r"meta.window must be \[start, end\]",
+                     id="window-not-a-pair"),
+        pytest.param({"memberships": [["a", "B"]]}, "membership invalid: unknown class 'B'",
+                     id="membership-of-unknown-class"),
+    ])
+    def test_malformed_snapshot(self, change, message):
+        obj = {"taxonomy": {"classes": ["A"], "subclass_of": {}}, "memberships": [],
+               "data_properties": [], "meta": {}, **change}
+        with pytest.raises(DecodeError, match=message):
+            load_snapshot(json.dumps(obj))
 
     def test_extra_meta_keys_survive(self):
         fb = FactBase(taxonomy=DIAMOND)

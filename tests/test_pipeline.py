@@ -27,7 +27,6 @@ from fatiguekit import (
     SignalFrame,
     Trace,
     UnknownClassError,
-    decide,
     default_config_text,
     eye_features,
     generate_scenario,
@@ -59,31 +58,44 @@ def pack_flavor(pack):
     return "verbatim"
 
 
+def fold(levels: list, policy: AlertPolicy) -> list[int]:
+    """Indices where the alert fires, by AlertPolicy.step taken level by
+    level from a run of 0, as `run` takes it window by window."""
+    out, streak = [], 0
+    for i, level in enumerate(levels):
+        streak, fires = policy.step(streak, level)
+        if fires:
+            out.append(i)
+    return out
+
+
 class TestDecide:
+    """The alert rule, AlertPolicy.step, folded over a sequence of levels."""
+
     def test_two_high_in_a_row(self):
-        assert decide([LOW, HIGH, HIGH], POLICY) == [2]
+        assert fold([LOW, HIGH, HIGH], POLICY) == [2]
 
     def test_interrupted_streak(self):
-        assert decide([HIGH, LOW, HIGH], POLICY) == []
+        assert fold([HIGH, LOW, HIGH], POLICY) == []
 
     def test_rearm_after_drop(self):
-        assert decide([HIGH, HIGH, HIGH, LOW, HIGH, HIGH], POLICY) == [1, 5]
+        assert fold([HIGH, HIGH, HIGH, LOW, HIGH, HIGH], POLICY) == [1, 5]
 
     def test_none_breaks_streak(self):
-        assert decide([HIGH, None, HIGH, HIGH], POLICY) == [3]
+        assert fold([HIGH, None, HIGH, HIGH], POLICY) == [3]
 
     def test_consecutive_one(self):
         policy = dataclasses.replace(POLICY, consecutive=1)
-        assert decide([LOW, HIGH, LOW, HIGH], policy) == [1, 3]
+        assert fold([LOW, HIGH, LOW, HIGH], policy) == [1, 3]
 
     def test_no_levels_no_alerts(self):
-        assert decide([], POLICY) == []
-        assert decide([None, None], POLICY) == []
+        assert fold([], POLICY) == []
+        assert fold([None, None], POLICY) == []
 
     def test_medium_threshold_policy(self):
         policy = AlertPolicy(level=MED, consecutive=2)
         # MEDIUM or higher counts toward the streak
-        assert decide([MED, HIGH, LOW, MED, MED], policy) == [1, 4]
+        assert fold([MED, HIGH, LOW, MED, MED], policy) == [1, 4]
 
     def test_policy_validation(self):
         with pytest.raises(ArgumentError):
@@ -94,7 +106,7 @@ class TestDecide:
            st.sampled_from([LOW, MED, HIGH]), st.integers(1, 5))
     def test_one_counter_equals_the_armed_flag(self, levels, level, consecutive):
         policy = AlertPolicy(level=level, consecutive=consecutive)
-        assert decide(levels, policy) == decide_armed(levels, policy)
+        assert fold(levels, policy) == decide_armed(levels, policy)
 
 
 class TestLoadConfig:
@@ -281,9 +293,14 @@ class TestRunEndToEnd:
         assert report.alert_indices()
 
     def test_alert_flags_match_decide(self):
-        report = run_scenario("drowsy", duration=300.0)
+        # drowsy, alert, drowsy: the alert fires once per drowsy stretch
+        spec = ScenarioSpec(duration=600.0, seed=0, segments=(
+            Segment(0.0, 200.0, "drowsy"), Segment(200.0, 400.0, "alert"),
+            Segment(400.0, 600.0, "drowsy")))
+        report = run(generate_scenario(spec))
         flagged = [i for i, r in enumerate(report.records) if r.alert]
-        assert flagged == decide([r.overall for r in report.records], POLICY)
+        assert len(flagged) == 2
+        assert flagged == decide_armed([r.overall for r in report.records], POLICY)
 
     def test_determinism(self):
         a = run_scenario("drowsy", duration=240.0, seed=5).to_jsonl()

@@ -260,6 +260,24 @@ class TestSchemeValidation:
         assert one_bpm_label(scheme, FEMALE) == "Y"
         assert one_bpm_label(scheme, ANON) == "Z"
 
+    @pytest.mark.parametrize("config, message", [
+        pytest.param({"max_swa_abs": []}, "band set is empty", id="empty-band-set"),
+        pytest.param({"max_swa_abs": [{"label": "A", "lower": 0, "upper": None},
+                                      {"label": "B", "lower": 5, "upper": None}]},
+                     r"'A' and 'B' overlap \[5, inf\)", id="band-after-unbounded-above"),
+        pytest.param({"head_ewma": [{"label": "A", "lower": 0, "upper": None}]},
+                     "signed feature, first band must be unbounded below",
+                     id="signed-feature-bounded-below"),
+        pytest.param({"max_swa_abs": [{"label": "A", "lower": 1, "upper": None}]},
+                     r"gap \[0, 1\) before first band 'A'", id="gap-before-first-band"),
+        pytest.param({"mean_bpm": {"by_sex": {"other": [
+            {"label": "A", "lower": None, "upper": None}]}}},
+                     "mean_bpm: unknown sex 'other'", id="unknown-sex-under-by-sex"),
+    ])
+    def test_band_set_rejected(self, config, message):
+        with pytest.raises(SchemeError, match=message):
+            load_scheme(json.dumps(config))
+
     def test_malformed_band_entry(self):
         with pytest.raises(SchemeError):
             load_scheme(json.dumps({"max_swa_abs": [{"label": "A", "lower": 0}]}))
@@ -327,6 +345,10 @@ class TestBand:
     def test_unbounded_sides(self):
         assert Band("X", None, 5.0).contains(-1e9)
         assert Band("X", 5.0, None).contains(1e9)
+
+    def test_empty_label_rejected(self):
+        with pytest.raises(SchemeError, match="band label must be non-empty"):
+            Band("", 0.0, None)
 
     def test_degenerate_band_rejected(self):
         with pytest.raises(SchemeError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -518,6 +519,14 @@ class TestFusionWeights:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ArgumentError, match="weight for 'A' must be finite"):
             FusionWeights(weights={"A": bad, "B": 1.0})
+
+    def test_weights_whose_sum_overflows_rejected(self):
+        # each weight is finite, but fuse sums them with math.fsum
+        with pytest.raises(ArgumentError, match="fusion_weights must sum"):
+            FusionWeights(weights={"A": 1e308, "B": 1e308})
+        largest = FusionWeights(weights={"A": sys.float_info.max, "B": 0.0})
+        assert fuse({"A": FatigueLevel.HIGH, "B": FatigueLevel.LOW}, largest,
+                    (0.5, 1.5)) is FatigueLevel.HIGH
 
 
 def _reading(fb):

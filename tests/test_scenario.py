@@ -78,6 +78,18 @@ class TestSpecParsing:
         with pytest.raises(ScenarioSpecError):
             simple_spec("alert", duration=0.0)
 
+    def test_segment_before_zero(self):
+        with pytest.raises(ScenarioSpecError, match="segment starts before zero"):
+            Segment(start=-1.0, end=5.0, regime="alert")
+
+    @pytest.mark.parametrize("duration, rate, message", [
+        (0.0, 10.0, "duration must be positive"),
+        (10.0, 0.0, "sample_rate must be positive"),
+    ])
+    def test_non_positive_duration_or_rate(self, duration, rate, message):
+        with pytest.raises(ScenarioSpecError, match=message):
+            ScenarioSpec(duration=duration, sample_rate=rate)
+
 
 class TestGeneratorBasics:
     def test_sampling_grid(self):

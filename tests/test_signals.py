@@ -74,6 +74,10 @@ class TestSignalFrame:
         with pytest.raises(RangeError):
             SignalFrame(t=0.0, swa=True)
 
+    def test_non_numeric_time_rejected(self):
+        with pytest.raises(RangeError, match="t: must be a number"):
+            SignalFrame(t="0.0")
+
 
 class TestParseTrace:
     def test_csv_two_frames(self):
@@ -204,6 +208,10 @@ class TestRoundTrip:
         blob = serialize_trace(frames, "jsonl")
         assert list(parse_trace(blob, "jsonl")) == frames
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ArgumentError, match="unknown trace format 'xml'"):
+            serialize_trace([SignalFrame(t=0.0)], "xml")
+
 
 class TestMakeWindows:
     def test_even_split(self):
@@ -310,6 +318,10 @@ class TestWindow:
         w = Window(start_t=10.0, end_t=70.0,
                    frames=Trace.from_frames((SignalFrame(t=12.0), SignalFrame(t=30.0))))
         assert w.length == 60.0
+
+    def test_reversed_bounds_rejected(self):
+        with pytest.raises(ArgumentError, match="window bounds reversed"):
+            Window(start_t=5.0, end_t=1.0, frames=Trace.from_frames(()))
 
     def test_frame_outside_bounds_rejected(self):
         with pytest.raises(ArgumentError):
