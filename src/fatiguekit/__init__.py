@@ -9,129 +9,32 @@ The package is organized as a pipeline of small, separately usable stages:
 - rules: rule-pack parsing, forward chaining, per-source fatigue verdicts
 - pipeline: the whole chain plus fusion and alerting
 - scenario: deterministic synthetic traces for the two driving regimes
+
+Each module names its public API in its own `__all__`; the package exports
+the union of those lists.
 """
 
-from .errors import (
-    AmbiguityError,
-    ArgumentError,
-    DecodeError,
-    DuplicateRuleNameError,
-    EmptyInputError,
-    FatigueKitError,
-    InsufficientDataError,
-    MissingChannelError,
-    MonotonicityError,
-    RangeError,
-    RuleSyntaxError,
-    ScenarioSpecError,
-    SchemeError,
-    UnboundFeatureError,
-    UnknownClassError,
-)
-from .features import (
-    FEATURE_NAMES,
-    ApEnParams,
-    FeatureParams,
-    FeatureVector,
-    approximate_entropy,
-    count_upcrossings,
-    extract_features,
-    eye_features,
-    gaze_features,
-    head_features,
-    kinematics_features,
-    mouth_features,
-    physiology_features,
-    swa_features,
-    yaw_features,
-)
-from .kstore import (
-    ENGINE_VERSION,
-    FactBase,
-    KnowledgeSnapshot,
-    Taxonomy,
-    assert_fact,
-    assert_value,
-    default_taxonomy,
-    load_snapshot,
-    query_class,
-    save_snapshot,
-)
-from .pipeline import (
-    AlertPolicy,
-    FatigueReport,
-    PipelineConfig,
-    WindowRecord,
-    default_config_text,
-    load_config,
-    run,
-)
-from .qualify import (
-    Band,
-    QualificationScheme,
-    QualifiedFact,
-    default_scheme,
-    individual_name,
-    load_scheme,
-    qualify,
-)
-from .rules import (
-    FatigueLevel,
-    FiredRule,
-    FusionWeights,
-    Rule,
-    RulePack,
-    fuse,
-    infer,
-    load_stock_pack,
-    parse_rules,
-    read_fatigue,
-)
-from .scenario import (
-    REGIMES,
-    ScenarioSpec,
-    Segment,
-    generate_scenario,
-    parse_scenario_spec,
-    simple_spec,
-)
-from .signals import (
-    CHANNELS,
-    DriverProfile,
-    Sex,
-    SignalFrame,
-    Trace,
-    Window,
-    make_windows,
-    parse_trace,
-    serialize_trace,
-)
+# Each submodule is loaded before the star imports, since a submodule's first
+# import binds its name here: fatiguekit.qualify stays the function.
+from . import errors as _errors
+from . import features as _features
+from . import kstore as _kstore
+from . import pipeline as _pipeline
+from . import qualify as _qualify
+from . import rules as _rules
+from . import scenario as _scenario
+from . import signals as _signals
+from .errors import *  # noqa: F403
+from .features import *  # noqa: F403
+from .kstore import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .qualify import *  # noqa: F403
+from .rules import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .signals import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguityError", "ArgumentError", "DecodeError", "DuplicateRuleNameError",
-    "EmptyInputError", "FatigueKitError", "InsufficientDataError",
-    "MissingChannelError", "MonotonicityError", "RangeError",
-    "RuleSyntaxError", "ScenarioSpecError", "SchemeError", "UnboundFeatureError",
-    "UnknownClassError",
-    "FEATURE_NAMES", "ApEnParams", "FeatureParams", "FeatureVector",
-    "approximate_entropy", "count_upcrossings",
-    "extract_features", "eye_features", "gaze_features", "head_features",
-    "kinematics_features", "mouth_features", "physiology_features",
-    "swa_features", "yaw_features",
-    "ENGINE_VERSION", "FactBase", "KnowledgeSnapshot", "Taxonomy",
-    "assert_fact", "assert_value", "default_taxonomy",
-    "load_snapshot", "query_class", "save_snapshot",
-    "AlertPolicy", "FatigueReport", "PipelineConfig", "WindowRecord",
-    "default_config_text", "load_config", "run",
-    "Band", "QualificationScheme", "QualifiedFact",
-    "default_scheme", "individual_name", "load_scheme", "qualify",
-    "FatigueLevel", "FiredRule", "FusionWeights", "Rule",
-    "RulePack", "fuse", "infer", "load_stock_pack", "parse_rules",
-    "read_fatigue",
-    "REGIMES", "ScenarioSpec", "Segment", "generate_scenario",
-    "parse_scenario_spec", "simple_spec",
-    "CHANNELS", "DriverProfile", "Sex", "SignalFrame",
-    "Trace", "Window", "make_windows", "parse_trace", "serialize_trace",
-]
+__all__ = [name for module in (_errors, _features, _kstore, _pipeline, _qualify, _rules,
+                               _scenario, _signals)
+           for name in module.__all__]

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import DecodeError, FatigueKitError, excerpt
-from .kstore import default_taxonomy, load_snapshot
+from .kstore import default_taxonomy, load_snapshot, snapshot_meta
 from .pipeline import load_config, run
 from .qualify import default_scheme
 from .rules import dead_conditions, parse_rules
@@ -90,13 +90,7 @@ def _cmd_rules_check(args: argparse.Namespace) -> int:
 def _cmd_snapshot_dump(args: argparse.Namespace) -> int:
     snap = load_snapshot(Path(args.file).read_bytes())
     fb = snap.factbase
-    meta = {
-        "trace_id": snap.trace_id,
-        "window": list(snap.window) if snap.window is not None else None,
-        "timestamp": fb.timestamp,
-        "engine_version": snap.engine_version,
-    }
-    print(json.dumps(meta, sort_keys=True))
+    print(json.dumps(snapshot_meta(snap), sort_keys=True))
     # each individual's classes and (property, value) pairs, read in one pass
     classes: dict[str, list[str]] = {}
     values: dict[str, list[tuple[str, float]]] = {}
@@ -153,7 +147,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (FatigueKitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        msg = str(e)
+        if isinstance(e, OSError) and e.filename is not None:
+            # the file name is outside text, so it is quoted cut short
+            msg = f"[Errno {e.errno}] {e.strerror}: {excerpt(e.filename)}"
+        print(f"error: {msg}", file=sys.stderr)
         return 1
     except Exception as e:  # pragma: no cover - defensive
         print(f"unexpected error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -9,6 +9,11 @@ bounded however long the text is.
 
 from __future__ import annotations
 
+__all__ = ["AmbiguityError", "ArgumentError", "DecodeError", "DuplicateRuleNameError",
+           "EmptyInputError", "FatigueKitError", "InsufficientDataError",
+           "MissingChannelError", "MonotonicityError", "RangeError", "RuleSyntaxError",
+           "ScenarioSpecError", "SchemeError", "UnboundFeatureError", "UnknownClassError"]
+
 
 def excerpt(value) -> str:
     """repr(value) for an error message; past 40 characters, its first 40

@@ -22,8 +22,10 @@ events per minute for frequencies.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields
+from importlib import resources
 
 import numpy as np
 
@@ -34,12 +36,21 @@ from .errors import (
 )
 from .signals import Window
 
+__all__ = ["FEATURE_NAMES", "ApEnParams", "FeatureParams", "FeatureVector",
+           "approximate_entropy", "count_upcrossings", "extract_features", "eye_features",
+           "gaze_features", "head_features", "kinematics_features", "mouth_features",
+           "physiology_features", "swa_features", "yaw_features"]
+
 _EPS = 1e-9
 
 # Closed-eye episodes lasting [_BLINK_MIN_S, _MICROSLEEP_MIN_S) are blinks,
 # longer ones micro-sleeps, seconds.
 _BLINK_MIN_S = 0.2
 _MICROSLEEP_MIN_S = 0.5
+
+# The shipped config's features block, the one home of each tunable's default.
+_SHIPPED = json.loads(resources.files("fatiguekit").joinpath(
+    "data/default_config.json").read_text("utf-8"))["features"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,12 +59,13 @@ class ApEnParams:
 
     m is the embedding (template) length. The tolerance may be given
     directly as r, or left None to be derived per series as
-    r_scale * population std of that series.
+    r_scale * population std of that series. The defaults are the shipped
+    config's apen_m, apen_r and apen_r_scale.
     """
 
-    m: int = 2
-    r: float | None = None
-    r_scale: float = 0.2
+    m: int = _SHIPPED["apen_m"]
+    r: float | None = _SHIPPED["apen_r"]
+    r_scale: float = _SHIPPED["apen_r_scale"]
 
     def __post_init__(self):
         if self.m < 1:
@@ -66,17 +78,19 @@ class ApEnParams:
 
 @dataclass(frozen=True, slots=True)
 class FeatureParams:
-    """Tunables shared by the extractors, pipeline-configurable."""
+    """Tunables shared by the extractors, pipeline-configurable. Each default
+    is the same-named key's value in the `features` block of the shipped
+    default_config.json; `apen`'s come from its apen_* keys."""
 
     apen: ApEnParams = field(default_factory=ApEnParams)
-    correction_threshold_deg: float = 6.0
-    correction_hysteresis_deg: float = 0.5
-    half_lane_width_m: float = 1.75
-    eye_closed_threshold: float = 0.8
-    yawn_ratio: float = 0.6
-    yawn_min_dur_s: float = 3.0
-    head_alpha: float = 0.3
-    saccade_speed_dps: float = 30.0
+    correction_threshold_deg: float = _SHIPPED["correction_threshold_deg"]
+    correction_hysteresis_deg: float = _SHIPPED["correction_hysteresis_deg"]
+    half_lane_width_m: float = _SHIPPED["half_lane_width_m"]
+    eye_closed_threshold: float = _SHIPPED["eye_closed_threshold"]
+    yawn_ratio: float = _SHIPPED["yawn_ratio"]
+    yawn_min_dur_s: float = _SHIPPED["yawn_min_dur_s"]
+    head_alpha: float = _SHIPPED["head_alpha"]
+    saccade_speed_dps: float = _SHIPPED["saccade_speed_dps"]
 
     def __post_init__(self):
         if not 0 < self.head_alpha <= 1:

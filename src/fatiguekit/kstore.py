@@ -23,6 +23,10 @@ from .errors import ArgumentError, DecodeError, UnknownClassError
 from .features import FEATURE_NAMES
 from .qualify import default_scheme
 
+__all__ = ["ENGINE_VERSION", "FactBase", "KnowledgeSnapshot", "Taxonomy", "assert_fact",
+           "assert_value", "default_taxonomy", "load_snapshot", "query_class",
+           "save_snapshot"]
+
 ENGINE_VERSION = "0.1.0"
 
 
@@ -179,6 +183,14 @@ def _render_rows(rows: list[tuple], width: int) -> str:
     return "[\n    " + ",\n    ".join(rendered) + "\n  ]"
 
 
+def snapshot_meta(s: KnowledgeSnapshot) -> dict:
+    """A snapshot's `meta` object: where its fact base came from, plus any
+    extra keys it was loaded with."""
+    window = list(s.window) if s.window is not None else None
+    return {"engine_version": s.engine_version, "timestamp": s.factbase.timestamp,
+            "trace_id": s.trace_id, "window": window, **s.meta_extra}
+
+
 def save_snapshot(s: KnowledgeSnapshot) -> bytes:
     """Canonical JSON bytes. Same snapshot, same bytes, every time.
 
@@ -190,18 +202,11 @@ def save_snapshot(s: KnowledgeSnapshot) -> bytes:
     rendered once per taxonomy instance.
     """
     fb = s.factbase
-    meta = {
-        "engine_version": s.engine_version,
-        "timestamp": fb.timestamp,
-        "trace_id": s.trace_id,
-        "window": list(s.window) if s.window is not None else None,
-    }
-    meta.update(s.meta_extra)
     # tuples sort as the lists of their items would
     parts = (
         ("data_properties", _render_rows(sorted(fb.data_properties), 3)),
         ("memberships", _render_rows(sorted(fb.memberships), 2)),
-        ("meta", _render(meta)),
+        ("meta", _render(snapshot_meta(s))),
         ("taxonomy", fb.taxonomy._snapshot_text),
     )
     body = ",\n".join(f'  "{key}": {text}' for key, text in parts)

@@ -46,6 +46,10 @@ from .rules import (
 )
 from .signals import DriverProfile, Trace, Window, make_windows
 
+__all__ = ["AlertPolicy", "FatigueReport", "PipelineConfig", "WindowRecord",
+           "default_config_text", "load_config", "run"]
+
+
 @dataclass(frozen=True)
 class AlertPolicy:
     """Raise an alert after `consecutive` overall levels at or above `level`."""

@@ -23,6 +23,9 @@ from .errors import SchemeError, UnboundFeatureError, excerpt
 from .features import FEATURE_NAMES, FeatureVector
 from .signals import DriverProfile, Sex
 
+__all__ = ["Band", "QualificationScheme", "QualifiedFact", "default_scheme",
+           "individual_name", "load_scheme", "qualify"]
+
 # Features whose values can be negative; their band sets must reach -inf.
 SIGNED_FEATURES = frozenset({"head_ewma"})
 

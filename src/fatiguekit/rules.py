@@ -35,6 +35,9 @@ from .errors import (
 from .kstore import FactBase, Taxonomy, default_taxonomy, ontology, query_class
 from .qualify import QualificationScheme
 
+__all__ = ["FatigueLevel", "FiredRule", "FusionWeights", "Rule", "RulePack", "fuse",
+           "infer", "load_stock_pack", "parse_rules", "read_fatigue"]
+
 
 class FatigueLevel(IntEnum):
     """Severity scale; the integer value is also the fusion encoding."""

@@ -24,6 +24,9 @@ from . import _inputs
 from .errors import ScenarioSpecError
 from .signals import CHANNELS, Trace, _readonly
 
+__all__ = ["REGIMES", "ScenarioSpec", "Segment", "generate_scenario", "parse_scenario_spec",
+           "simple_spec"]
+
 REGIMES = ("alert", "drowsy")
 
 

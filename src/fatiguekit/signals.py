@@ -30,6 +30,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from .errors import (
     MonotonicityError,
     RangeError,
 )
+
+__all__ = ["CHANNELS", "DriverProfile", "Sex", "SignalFrame", "Trace", "Window",
+           "make_windows", "parse_trace", "serialize_trace"]
 
 # Channel order here is also the canonical CSV column order.
 CHANNELS = (
@@ -130,30 +134,24 @@ class Trace:
 
     @classmethod
     def from_frames(cls, frames) -> Trace:
-        """The trace of a sequence of frames; a Trace is returned as is.
+        """The trace of a sequence of frames, each fed as one row to the
+        parsers' column builder `_Rows`; a Trace is returned as is.
 
         Raises:
-            ArgumentError: frame times that do not strictly increase.
+            ArgumentError: frame times that do not strictly increase, naming
+                the later frame's t.
         """
         if isinstance(frames, Trace):
             return frames
         frames = list(frames)
-        t = np.array([f.t for f in frames], dtype=float)
-        step = np.flatnonzero(np.diff(t) <= 0)
-        if len(step):
+        out, cells = _Rows(("t", *CHANNELS)), attrgetter("t", *CHANNELS)
+        for i, f in enumerate(frames):
+            out.add(i, cells(f))
+        try:
+            return out.finish()
+        except MonotonicityError as e:
             raise ArgumentError(
-                f"frame timestamps not strictly increasing at t={frames[step[0] + 1].t}")
-        columns = {}
-        for name in CHANNELS:
-            # frames hold finite values only, so NaN marks an absent sample
-            v = np.array([getattr(f, name) for f in frames], dtype=float)
-            present = ~np.isnan(v)
-            if not present.any():
-                continue
-            # a channel sampled in every frame shares the frame times
-            columns[name] = (t, _readonly(v)) if present.all() else \
-                (_readonly(t[present]), _readonly(v[present]))
-        return cls(_readonly(t), columns)
+                f"frame timestamps not strictly increasing at t={frames[e.row].t}") from None
 
     @property
     def channels(self) -> tuple[str, ...]:

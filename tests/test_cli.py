@@ -218,7 +218,8 @@ class TestSnapshotDump:
     def test_dump(self, tmp_path, capsys):
         fb = FactBase(taxonomy=default_taxonomy(), timestamp=60.0)
         fb = assert_fact(fb, "steering@0.0", "SteeringWheelMeasurementFatigue")
-        snap = KnowledgeSnapshot(factbase=fb, trace_id="demo", window=(0.0, 60.0))
+        snap = KnowledgeSnapshot(factbase=fb, trace_id="demo", window=(0.0, 60.0),
+                                 meta_extra={"note": "x"})
         path = tmp_path / "w.snapshot.json"
         path.write_bytes(save_snapshot(snap))
         assert main(["snapshot", "dump", str(path)]) == 0
@@ -226,6 +227,7 @@ class TestSnapshotDump:
         meta = json.loads(out[0])
         assert meta["trace_id"] == "demo"
         assert meta["window"] == [0.0, 60.0]
+        assert meta["note"] == "x"  # the meta the file holds, extra keys too
         assert any(line.startswith("steering@0.0:") for line in out[1:])
 
     def test_dump_bytes(self, tmp_path, capsys):
@@ -373,6 +375,8 @@ DUMP = ["snapshot", "dump", "snap.json"]
     # 300-character outside values, each quoted cut short
     pytest.param(["run", "t." + "x" * 300], {}, "cannot tell trace format",
                  id="trace-extension-long"),
+    pytest.param(RUN, {"c.json": {"rule_pack": "p" * 300}}, "File name too long",
+                 id="config-rule-pack-path-long"),
     pytest.param(RUN, {"c.json": {"alert_level": "x" * 300}}, "unknown fatigue level",
                  id="config-alert-level-long"),
     pytest.param(RUN, {"c.json": {"k" * 300: 1}}, "unknown config keys",

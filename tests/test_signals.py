@@ -201,12 +201,16 @@ class TestRoundTrip:
     def test_csv_round_trip(self, frames):
         blob = serialize_trace(frames, "csv")
         assert list(parse_trace(blob, "csv")) == frames
+        # frames and files go through one column builder
+        assert parse_trace(blob, "csv") == Trace.from_frames(frames)
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
     def test_jsonl_round_trip(self, frames):
         blob = serialize_trace(frames, "jsonl")
         assert list(parse_trace(blob, "jsonl")) == frames
+        # frames and files go through one column builder
+        assert parse_trace(blob, "jsonl") == Trace.from_frames(frames)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ArgumentError, match="unknown trace format 'xml'"):
