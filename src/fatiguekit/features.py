@@ -306,17 +306,6 @@ class FeatureVector:
     mean_bpm: float | None = None
     gaze_persac: float | None = None            # fraction in [0, 1]
 
-    def to_dict(self) -> dict:
-        """JSON-ready mapping; absent features are omitted."""
-        out = {"window_start": self.window_start, "window_end": self.window_end}
-        for f in fields(self):
-            if f.name in ("window_start", "window_end"):
-                continue
-            v = getattr(self, f.name)
-            if v is not None:
-                out[f.name] = v
-        return out
-
 
 FEATURE_NAMES = tuple(
     f.name for f in fields(FeatureVector) if f.name not in ("window_start", "window_end"))

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from importlib import resources
 
 from . import _inputs
-from .errors import ArgumentError, DecodeError, UnknownClassError
+from .errors import ArgumentError, DecodeError, UnknownClassError, excerpt
 from .features import FEATURE_NAMES
 from .qualify import default_scheme
 
@@ -232,7 +232,7 @@ def _decode_taxonomy(obj: dict, what: str) -> Taxonomy:
     for child, ps in sub.items():
         if not isinstance(ps, list) or not all(isinstance(p, str) for p in ps):
             raise DecodeError(
-                f"{what} taxonomy.subclass_of[{_inputs.excerpt(child)}] must list classes")
+                f"{what} taxonomy.subclass_of[{excerpt(child)}] must list classes")
         parents[child] = tuple(ps)
     try:
         return Taxonomy(classes=frozenset(classes), parents=parents)
@@ -254,17 +254,17 @@ def load_snapshot(data: bytes | str) -> KnowledgeSnapshot:
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(isinstance(x, str) for x in entry)):
             raise DecodeError(
-                f"snapshot membership {_inputs.excerpt(entry)} must be [individual, class]")
+                f"snapshot membership {excerpt(entry)} must be [individual, class]")
         memberships.add((entry[0], entry[1]))
     data_properties = set()
     for entry in _expect(obj, "data_properties", list, "snapshot"):
         if not (isinstance(entry, list) and len(entry) == 3
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise DecodeError(
-                f"snapshot data property {_inputs.excerpt(entry)} "
+                f"snapshot data property {excerpt(entry)} "
                 "must be [individual, property, number]")
         # checked finite, but an integer value stays an integer
-        _inputs.number(entry[2], f"snapshot data property {_inputs.excerpt(entry[:2])} value")
+        _inputs.number(entry[2], f"snapshot data property {excerpt(entry[:2])} value")
         data_properties.add((entry[0], entry[1], entry[2]))
 
     meta = _expect(obj, "meta", dict, "snapshot")

@@ -22,8 +22,9 @@ from importlib import resources
 from pathlib import Path
 
 from . import _inputs
-from .errors import ArgumentError, DecodeError, EmptyInputError
+from .errors import ArgumentError, DecodeError, EmptyInputError, excerpt
 from .features import (
+    FEATURE_NAMES,
     ApEnParams,
     FeatureParams,
     FeatureVector,
@@ -122,14 +123,14 @@ def load_config(data: bytes | str | None = None, *,
         override = _inputs.json_object(data, "config")
         unknown = set(override) - set(defaults)
         if unknown:
-            raise DecodeError(f"unknown config keys: {_inputs.excerpt(sorted(unknown))}")
+            raise DecodeError(f"unknown config keys: {excerpt(sorted(unknown))}")
         obj.update(override)
     for block in ("features", "profile"):  # merged key by key over their defaults
         given = _inputs.of_type(obj[block], dict, f"config {block}", "an object")
         unknown = set(given) - set(defaults[block])
         if unknown:
             raise DecodeError(
-                f"unknown {block} config keys: {_inputs.excerpt(sorted(unknown))}")
+                f"unknown {block} config keys: {excerpt(sorted(unknown))}")
         obj[block] = {**defaults[block], **given}
 
     feat = obj["features"]
@@ -169,7 +170,7 @@ def load_config(data: bytes | str | None = None, *,
     cutoffs = obj["fusion_cutoffs"]
     if not (isinstance(cutoffs, list) and len(cutoffs) == 2):
         raise DecodeError(
-            f"config fusion_cutoffs must be two numbers, got {_inputs.excerpt(cutoffs)}")
+            f"config fusion_cutoffs must be two numbers, got {excerpt(cutoffs)}")
     cutoffs = tuple(_inputs.number(c, "config fusion_cutoffs") for c in cutoffs)
     if not cutoffs[0] < cutoffs[1]:
         raise DecodeError(f"config fusion_cutoffs must increase, got {list(cutoffs)}")
@@ -182,7 +183,7 @@ def load_config(data: bytes | str | None = None, *,
         taxonomy=taxonomy,
         rule_pack=pack,
         weights=FusionWeights(weights={
-            k: _inputs.number(v, f"config fusion_weights[{_inputs.excerpt(k)}]")
+            k: _inputs.number(v, f"config fusion_weights[{excerpt(k)}]")
             for k, v in weights.items()}),
         fusion_cutoffs=cutoffs,
         alert=AlertPolicy(
@@ -213,11 +214,23 @@ class WindowRecord:
     errors: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        """The window's report line as a JSON-ready mapping. Every key of
+        the line is written here: absent features are omitted, and each
+        fact and fired rule becomes one object."""
+        fv = self.features
+        features = {"window_start": fv.window_start, "window_end": fv.window_end}
+        for name in FEATURE_NAMES:
+            v = getattr(fv, name)
+            if v is not None:
+                features[name] = v
         return {
             "window": [self.window.start_t, self.window.end_t],
-            "features": self.features.to_dict(),
-            "facts": [f.to_dict() for f in self.facts],
-            "fired_rules": [f.to_dict() for f in self.fired_rules],
+            "features": features,
+            "facts": [{"individual": f.individual, "class": f.class_label, "value": f.value,
+                       "window": [f.window_start, f.window_end], "feature": f.source_feature}
+                      for f in self.facts],
+            "fired_rules": [{"rule": r.rule, "individual": r.individual,
+                             "iteration": r.iteration} for r in self.fired_rules],
             "levels": {s: lvl.display() for s, lvl in sorted(self.levels.items())},
             "overall": self.overall.display() if self.overall is not None else None,
             "alert": self.alert,
@@ -297,7 +310,6 @@ def run(trace: Trace, cfg: PipelineConfig | None = None) -> FatigueReport:
             try:
                 overall = fuse(levels, cfg.weights, cfg.fusion_cutoffs)
             except EmptyInputError:
-                notes = list(notes)
                 notes.append("fusion skipped: contributing sources all have zero weight")
 
         streak, alert = cfg.alert.step(streak, overall)

@@ -132,15 +132,6 @@ class QualifiedFact:
     window_end: float
     source_feature: str
 
-    def to_dict(self) -> dict:
-        return {
-            "individual": self.individual,
-            "class": self.class_label,
-            "value": self.value,
-            "window": [self.window_start, self.window_end],
-            "feature": self.source_feature,
-        }
-
 
 def _bands_from_json(feature: str, raw) -> tuple[Band, ...]:
     bands = []

@@ -285,10 +285,6 @@ class FiredRule:
     individual: str
     iteration: int
 
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "individual": self.individual,
-                "iteration": self.iteration}
-
 
 def infer(fb: FactBase, pack: RulePack) -> tuple[FactBase, list[FiredRule]]:
     """Run the pack to fixpoint.

@@ -8,6 +8,9 @@ steering, tightly bounded yaw, brief blinks and a normal heart rate. A
 second-difference spikes, long eyelid closures driving the closure
 fraction past 0.4, yawns, and a heart rate in the drowsy band.
 
+Each regime writes its channels as sums of sinusoids, made by one helper
+that draws each phase from the segment's generator where the sinusoid is
+written, plus events marked on top, and returns them keyed by `CHANNELS`.
 The output is a `Trace` built straight from each segment's channel
 arrays; no per-sample Python object is made. Same spec, same trace, every
 run: all randomness comes from generators seeded by (spec.seed, segment
@@ -16,12 +19,13 @@ index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _inputs
-from .errors import ScenarioSpecError
+from .errors import ScenarioSpecError, excerpt
 from .signals import CHANNELS, Trace, _readonly
 
 __all__ = ["REGIMES", "ScenarioSpec", "Segment", "generate_scenario", "parse_scenario_spec",
@@ -38,7 +42,7 @@ class Segment:
 
     def __post_init__(self):
         if self.regime not in REGIMES:
-            raise ScenarioSpecError(f"unknown regime {_inputs.excerpt(self.regime)}")
+            raise ScenarioSpecError(f"unknown regime {excerpt(self.regime)}")
         if not self.start < self.end:
             raise ScenarioSpecError(
                 f"segment bounds reversed: [{self.start}, {self.end})")
@@ -79,7 +83,7 @@ def parse_scenario_spec(data: bytes | str) -> ScenarioSpec:
     known = {"duration", "sample_rate", "seed", "segments"}
     unknown = set(obj) - known
     if unknown:
-        raise ScenarioSpecError(f"unknown spec keys: {_inputs.excerpt(sorted(unknown))}")
+        raise ScenarioSpecError(f"unknown spec keys: {excerpt(sorted(unknown))}")
     if "duration" not in obj:
         raise ScenarioSpecError("spec needs a duration")
     segments = []
@@ -88,7 +92,7 @@ def parse_scenario_spec(data: bytes | str) -> ScenarioSpec:
     for i, raw in enumerate(raw_segments):
         if not isinstance(raw, dict) or set(raw) != {"start", "end", "regime"}:
             raise ScenarioSpecError(
-                f"segment {i} needs exactly start/end/regime, got {_inputs.excerpt(raw)}")
+                f"segment {i} needs exactly start/end/regime, got {excerpt(raw)}")
         key = f"scenario spec segments[{i}]"
         segments.append(Segment(
             start=_inputs.number(raw["start"], f"{key}.start"),
@@ -125,77 +129,71 @@ def _mark(values: np.ndarray, rate: float, start: float, dur: float, level: floa
     values[max(i, 0):max(j, 0)] = level
 
 
+def _waves(tau: np.ndarray, rng):
+    """wave(a, f): a * sin(2 pi f tau + phase), its phase drawn from rng when
+    wave is called, so the draws follow the order the waves are written in."""
+    def wave(a: float, f: float) -> np.ndarray:
+        return a * np.sin(2 * np.pi * f * tau + rng.uniform(0, 2 * np.pi))
+    return wave
+
+
 def _alert_channels(tau: np.ndarray, rate: float, rng) -> dict[str, np.ndarray]:
-    n = len(tau)
-    two_pi = 2 * np.pi
+    n, total, wave = len(tau), float(tau[-1]), _waves(tau, rng)
 
     a1, f1 = rng.uniform(2.0, 2.6), rng.uniform(0.10, 0.13)
     a2, f2 = rng.uniform(1.0, 1.4), rng.uniform(0.18, 0.22)
-    swa = (a1 * np.sin(two_pi * f1 * tau + rng.uniform(0, two_pi))
-           + a2 * np.sin(two_pi * f2 * tau + rng.uniform(0, two_pi))
-           + rng.uniform(-0.04, 0.04, n))
+    swa = wave(a1, f1) + wave(a2, f2) + rng.uniform(-0.04, 0.04, n)
 
     yc, ya = rng.uniform(0.30, 0.40), rng.uniform(0.20, 0.28)
-    yaw = (yc + ya * np.sin(two_pi * 0.05 * tau + rng.uniform(0, two_pi))
-           + 0.03 * np.sin(two_pi * 0.3 * tau + rng.uniform(0, two_pi)))
+    yaw = yc + wave(ya, 0.05) + wave(0.03, 0.3)
 
-    speed = 25.0 + 0.5 * np.sin(two_pi * 0.02 * tau + rng.uniform(0, two_pi))
-    lat = 0.3 * np.sin(two_pi * 0.1 * tau + rng.uniform(0, two_pi))
-    lon = 0.15 * np.sin(two_pi * 0.05 * tau + rng.uniform(0, two_pi))
-    lane = (0.15 * np.sin(two_pi * 0.07 * tau + rng.uniform(0, two_pi))
-            + 0.04 * np.sin(two_pi * 0.23 * tau + rng.uniform(0, two_pi)))
+    speed = 25.0 + wave(0.5, 0.02)
+    lat = wave(0.3, 0.1)
+    lon = wave(0.15, 0.05)
+    lane = wave(0.15, 0.07) + wave(0.04, 0.23)
 
-    eye = 0.05 + 0.02 * np.sin(two_pi * 0.11 * tau + rng.uniform(0, two_pi))
+    eye = 0.05 + wave(0.02, 0.11)
     blink_samples = max(int(round(0.3 * rate)), 1)
-    for s in _event_starts(rng, float(tau[-1]) if n else 0.0, 3.5, 5.0):
+    for s in _event_starts(rng, total, 3.5, 5.0):
         i = int(round(s * rate))
         eye[i:i + blink_samples] = 1.0
 
-    mouth = 0.08 + 0.04 * np.abs(np.sin(two_pi * 0.03 * tau + rng.uniform(0, two_pi)))
-    head = (1.5 * np.sin(two_pi * 0.06 * tau + rng.uniform(0, two_pi))
-            + 0.5 * np.sin(two_pi * 0.21 * tau + rng.uniform(0, two_pi)))
-    bpm = 80.0 + 3.0 * np.sin(two_pi * 0.01 * tau + rng.uniform(0, two_pi))
+    mouth = 0.08 + np.abs(wave(0.04, 0.03))
+    head = wave(1.5, 0.06) + wave(0.5, 0.21)
+    bpm = 80.0 + wave(3.0, 0.01)
 
-    gaze = 1.0 * np.sin(two_pi * 0.1 * tau + rng.uniform(0, two_pi))
-    for s in _event_starts(rng, float(tau[-1]) if n else 0.0, 7.0, 13.0):
+    gaze = wave(1.0, 0.1)
+    for s in _event_starts(rng, total, 7.0, 13.0):
         jump = rng.uniform(4.0, 8.0) * rng.choice((-1.0, 1.0))
         _mark(gaze, rate, s, rng.uniform(0.5, 1.0), jump)
 
-    return {"swa": swa, "yaw": yaw, "speed": speed, "lat_accel": lat,
-            "lon_accel": lon, "lane_offset": lane, "eye_closure": eye,
-            "mouth_open": mouth, "head_pitch": head, "heart_bpm": bpm,
-            "gaze_offset": gaze}
+    return dict(zip(CHANNELS, (swa, yaw, speed, lat, lon, lane, eye, mouth, head, bpm, gaze),
+                    strict=True))
 
 
 def _drowsy_channels(tau: np.ndarray, rate: float, rng) -> dict[str, np.ndarray]:
-    n = len(tau)
-    two_pi = 2 * np.pi
-    total = float(tau[-1]) if n else 0.0
+    n, total, wave = len(tau), float(tau[-1]), _waves(tau, rng)
 
     # Weaving: every swing tops 10 degrees and dips under the re-arm level,
     # so the 6 degree correction counter runs well past 12 per minute.
     c = rng.uniform(11.0, 12.5)
     a = rng.uniform(7.5, min(8.5, c - 2.5))
     f = rng.uniform(0.22, 0.28)
-    swa = (c + a * np.sin(two_pi * f * tau + rng.uniform(0, two_pi))
-           + rng.uniform(-0.1, 0.1, n))
+    swa = c + wave(a, f) + rng.uniform(-0.1, 0.1, n)
 
     d1 = rng.uniform(1.6, 2.0)
     d2 = rng.uniform(1.0, 1.4)
-    yaw = (d1 * np.sin(two_pi * 0.04 * tau + rng.uniform(0, two_pi))
-           + d2 * np.sin(two_pi * 0.09 * tau + rng.uniform(0, two_pi)))
+    yaw = wave(d1, 0.04) + wave(d2, 0.09)
     # Single-sample jolts put a sharp spike into the second difference.
     for s in _event_starts(rng, total, 15.0, 25.0):
         i = int(round(s * rate))
         if 0 <= i < n:
             yaw[i] += rng.uniform(0.04, 0.07)
 
-    speed = 24.0 + 2.0 * np.sin(two_pi * 0.008 * tau + rng.uniform(0, two_pi))
-    lat = (1.0 * np.sin(two_pi * 0.1 * tau + rng.uniform(0, two_pi))
-           + 0.4 * np.sin(two_pi * 0.31 * tau + rng.uniform(0, two_pi)))
-    lon = 0.3 * np.sin(two_pi * 0.04 * tau + rng.uniform(0, two_pi))
-    lane = (1.9 * np.sin(two_pi * 0.05 * tau + rng.uniform(0, two_pi))
-            + 0.1 * np.sin(two_pi * 0.17 * tau + rng.uniform(0, two_pi)))
+    speed = 24.0 + wave(2.0, 0.008)
+    lat = wave(1.0, 0.1) + wave(0.4, 0.31)
+    lon = wave(0.3, 0.04)
+    lane = wave(1.9, 0.05) + wave(0.1, 0.17)
 
     eye = np.full(n, 0.1)
     t_cursor = 0.0
@@ -208,18 +206,16 @@ def _drowsy_channels(tau: np.ndarray, rate: float, rng) -> dict[str, np.ndarray]
     for s in _event_starts(rng, total, 40.0, 55.0):
         _mark(mouth, rate, s, rng.uniform(3.5, 4.5), 0.85)
 
-    head = 8.0 + 6.0 * np.sin(two_pi * 0.015 * tau + rng.uniform(0, two_pi))
-    bpm = 57.0 + 2.0 * np.sin(two_pi * 0.005 * tau + rng.uniform(0, two_pi))
+    head = 8.0 + wave(6.0, 0.015)
+    bpm = 57.0 + wave(2.0, 0.005)
 
-    gaze = 2.0 * np.sin(two_pi * 0.02 * tau + rng.uniform(0, two_pi))
+    gaze = wave(2.0, 0.02)
     for s in _event_starts(rng, total, 18.0, 28.0):
         jump = rng.uniform(4.0, 6.0) * rng.choice((-1.0, 1.0))
         _mark(gaze, rate, s, rng.uniform(0.8, 1.5), jump)
 
-    return {"swa": swa, "yaw": yaw, "speed": speed, "lat_accel": lat,
-            "lon_accel": lon, "lane_offset": lane, "eye_closure": eye,
-            "mouth_open": mouth, "head_pitch": head, "heart_bpm": bpm,
-            "gaze_offset": gaze}
+    return dict(zip(CHANNELS, (swa, yaw, speed, lat, lon, lane, eye, mouth, head, bpm, gaze),
+                    strict=True))
 
 
 def generate_scenario(spec: ScenarioSpec) -> Trace:
@@ -231,14 +227,28 @@ def generate_scenario(spec: ScenarioSpec) -> Trace:
     previous segment's last frame. Every channel is sampled in every frame.
     The output is a valid trace: strictly increasing t, all channel
     invariants satisfied.
+
+    Raises:
+        ScenarioSpecError: a segment whose grid holds more frames than a
+            numpy index counts or numpy can allocate, naming the count.
     """
     rate = spec.sample_rate
     parts = []  # (times, channels) of each segment that holds a frame
     next_k = 0
     for index, seg in enumerate(spec.segments):
         rng = np.random.default_rng([spec.seed & 0xFFFFFFFF, index])
-        k0 = max(int(np.ceil(seg.start * rate - 1e-9)), next_k)
-        t = np.arange(k0, int(np.ceil(seg.end * rate)) + 1) / rate
+        # the segment's grid k0 .. ceil(end * rate), counted in Python integers
+        end_k = seg.end * rate
+        k0 = max(math.ceil(seg.start * rate - 1e-9), next_k) if math.isfinite(end_k) else 0
+        count = math.ceil(end_k) + 1 - k0 if math.isfinite(end_k) else math.inf
+        need = (f"duration {spec.duration} at sample_rate {rate} needs {count:.3g} frames "
+                f"for segment [{seg.start}, {seg.end})")
+        if count > np.iinfo(np.intp).max:
+            raise ScenarioSpecError(need)
+        try:
+            t = np.arange(k0, k0 + count) / rate
+        except MemoryError:  # a grid numpy refuses to allocate
+            raise ScenarioSpecError(need) from None
         t = t[t < seg.end - 1e-12]
         if len(t) == 0:
             continue

@@ -27,7 +27,7 @@ import json
 import math
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter
@@ -40,26 +40,11 @@ from .errors import (
     DecodeError,
     MonotonicityError,
     RangeError,
+    excerpt,
 )
 
 __all__ = ["CHANNELS", "DriverProfile", "Sex", "SignalFrame", "Trace", "Window",
            "make_windows", "parse_trace", "serialize_trace"]
-
-# Channel order here is also the canonical CSV column order.
-CHANNELS = (
-    "swa",          # steering wheel angle, degrees
-    "yaw",          # vehicle yaw angle, degrees
-    "speed",        # m/s
-    "lat_accel",    # lateral acceleration, m/s^2
-    "lon_accel",    # longitudinal acceleration, m/s^2
-    "lane_offset",  # lateral offset from lane centre, m
-    "eye_closure",  # eyelid closure fraction, 0 = open .. 1 = closed
-    "mouth_open",   # mouth opening ratio, >= 0
-    "head_pitch",   # head pitch, degrees (positive = drooping forward)
-    "heart_bpm",    # heart rate, beats per minute
-    "gaze_offset",  # gaze angle offset from road centre, degrees
-)
-
 
 # The bounded channels: a test of a value or a whole column of values, and
 # the words that name the range in its error.
@@ -72,20 +57,22 @@ _RANGES = {
 
 @dataclass(frozen=True, slots=True)
 class SignalFrame:
-    """One sampling instant, the row record. Channels not sampled are None."""
+    """One sampling instant, the row record. Its fields after `t` are the
+    channels, in the canonical CSV column order; `CHANNELS` is read off
+    them. Channels not sampled are None."""
 
-    t: float
-    swa: float | None = None
-    yaw: float | None = None
-    speed: float | None = None
-    lat_accel: float | None = None
-    lon_accel: float | None = None
-    lane_offset: float | None = None
-    eye_closure: float | None = None
-    mouth_open: float | None = None
-    head_pitch: float | None = None
-    heart_bpm: float | None = None
-    gaze_offset: float | None = None
+    t: float                            # seconds
+    swa: float | None = None            # steering wheel angle, degrees
+    yaw: float | None = None            # vehicle yaw angle, degrees
+    speed: float | None = None          # m/s
+    lat_accel: float | None = None      # lateral acceleration, m/s^2
+    lon_accel: float | None = None      # longitudinal acceleration, m/s^2
+    lane_offset: float | None = None    # lateral offset from lane centre, m
+    eye_closure: float | None = None    # eyelid closure fraction, 0 = open .. 1 = closed
+    mouth_open: float | None = None     # mouth opening ratio, >= 0
+    head_pitch: float | None = None     # head pitch, degrees (positive = drooping forward)
+    heart_bpm: float | None = None      # heart rate, beats per minute
+    gaze_offset: float | None = None    # gaze angle offset from road centre, degrees
 
     def __post_init__(self):
         if not isinstance(self.t, (int, float)) or isinstance(self.t, bool):
@@ -104,6 +91,9 @@ class SignalFrame:
             v = getattr(self, name)
             if v is not None and not in_range(v):
                 raise RangeError(name, f"{words}, got {v!r}")
+
+
+CHANNELS = tuple(f.name for f in fields(SignalFrame))[1:]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -255,7 +245,7 @@ class DriverProfile:
         try:
             object.__setattr__(self, "sex", Sex(self.sex))
         except ValueError:
-            raise ArgumentError(f"unknown sex {_inputs.excerpt(self.sex)}: "
+            raise ArgumentError(f"unknown sex {excerpt(self.sex)}: "
                                 "use male, female or unspecified") from None
 
 
@@ -378,7 +368,7 @@ def _add_csv_row(out: _Rows, header: list[str], row: int, cells: list[str]):
         try:
             values.append(float(cell) if cell else None)
         except ValueError:
-            raise DecodeError(f"non-numeric value {_inputs.excerpt(cell)} in column {col!r}",
+            raise DecodeError(f"non-numeric value {excerpt(cell)} in column {col!r}",
                               row=row) from None
     if values[header.index("t")] is None:
         if all(v is None for v in values):
@@ -446,7 +436,7 @@ def _parse_csv(text: str) -> Trace:
     known = set(CHANNELS) | {"t"}
     for col in header:
         if col not in known:
-            raise DecodeError(f"unknown column {_inputs.excerpt(col)} in header")
+            raise DecodeError(f"unknown column {excerpt(col)} in header")
     if "t" not in header:
         raise DecodeError("header lacks mandatory column 't'")
     if len(set(header)) != len(header):
@@ -502,11 +492,11 @@ def _parse_jsonl(text: str) -> Trace:
             record = {}
             for key, value in obj.items():
                 if key not in known:
-                    raise DecodeError(f"unknown key {_inputs.excerpt(key)}", row=row)
+                    raise DecodeError(f"unknown key {excerpt(key)}", row=row)
                 if value is None:
                     continue  # explicit null reads the same as an absent key
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise DecodeError(f"value for {_inputs.excerpt(key)} must be a number",
+                    raise DecodeError(f"value for {excerpt(key)} must be a number",
                                       row=row)
                 # a non-finite float is a range fault, found in row order by finish()
                 record[key] = value if isinstance(value, float) else \

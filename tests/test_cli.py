@@ -403,6 +403,15 @@ DUMP = ["snapshot", "dump", "snap.json"]
     pytest.param(GEN, {"spec.json": {**SPEC, "segments": [
         {"start": 0.0, "end": 20.0, "regime": "alert", "x" * 300: 1}]}},
                  "segment 0 needs exactly", id="spec-segment-extra-key-long"),
+    # sample grids past a numpy index, counted before any allocation
+    pytest.param(GEN, {"spec.json": {"duration": 1e300, "segments": [
+        {"start": 0.0, "end": 1e300, "regime": "alert"}]}},
+                 "duration 1e+300 at sample_rate 10.0 needs 1e+301 frames",
+                 id="spec-grid-past-index"),
+    pytest.param(GEN, {"spec.json": {"duration": 1e300, "sample_rate": 1e300, "segments": [
+        {"start": 0.0, "end": 1e300, "regime": "alert"}]}},
+                 "duration 1e+300 at sample_rate 1e+300 needs inf frames",
+                 id="spec-grid-infinite"),
     pytest.param(["rules", "check", "bad.rules"], {"bad.rules": (
         "rule r1: when instance(?x, " + "C" * 300
         + ") then classify(?x, SteeringWheelMeasurmentFatigue_Low)\n").encode()},

@@ -348,10 +348,10 @@ class TestRunEndToEnd:
         report = run_scenario("drowsy", duration=400.0)
         # before any 180s closure window completes, the fraction is absent
         early = report.records[0]
-        assert "perclos80" not in early.features.to_dict()
+        assert "perclos80" not in early.to_dict()["features"]
         # once one has fully elapsed it is joined in
         late = next(r for r in report.records if r.window.end_t >= 240.0)
-        assert "perclos80" in late.features.to_dict()
+        assert "perclos80" in late.to_dict()["features"]
         assert late.features.perclos80 >= 0.4
 
     def test_facts_and_rules_recorded(self):

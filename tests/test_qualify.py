@@ -273,6 +273,10 @@ class TestSchemeValidation:
         pytest.param({"mean_bpm": {"by_sex": {"other": [
             {"label": "A", "lower": None, "upper": None}]}}},
                      "mean_bpm: unknown sex 'other'", id="unknown-sex-under-by-sex"),
+        pytest.param({"mean_bpm": {"by_sex": {"male": [
+            {"label": "A", "lower": None, "upper": None}]}, "extra": 1}},
+                     "mean_bpm: expected a band list or a by_sex mapping",
+                     id="by-sex-mapping-with-extra-key"),
     ])
     def test_band_set_rejected(self, config, message):
         with pytest.raises(SchemeError, match=message):

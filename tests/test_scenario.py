@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,14 @@ class TestSpecParsing:
 
 
 class TestGeneratorBasics:
+    @pytest.mark.parametrize("rate, count", [(10.0, "1e+301"), (1e300, "inf")])
+    def test_grid_past_a_numpy_index_is_a_spec_error(self, rate, count):
+        # the frame count is found in Python integers, before numpy allocates
+        spec = simple_spec("alert", duration=1e300, sample_rate=rate)
+        with pytest.raises(ScenarioSpecError, match=re.escape(
+                f"duration 1e+300 at sample_rate {rate} needs {count} frames")):
+            generate_scenario(spec)
+
     def test_sampling_grid(self):
         frames = generate_scenario(simple_spec("alert", duration=60.0))
         assert len(frames) == 600

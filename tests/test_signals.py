@@ -685,6 +685,11 @@ class TestColumnViews:
         assert trace.channels == tuple(
             c for c in CHANNELS if any(getattr(f, c) is not None for f in frames))
 
+    def test_trace_is_not_equal_to_other_types(self):
+        trace = Trace.from_frames([SignalFrame(t=0.0, swa=1.0)])
+        assert trace.__eq__("x") is NotImplemented
+        assert not trace == "x" and trace != "x"
+
     def test_from_frames_rejects_unordered_times(self):
         with pytest.raises(ArgumentError, match="not strictly increasing at t=1.0"):
             Trace.from_frames([SignalFrame(t=0.0), SignalFrame(t=2.0), SignalFrame(t=1.0)])
