@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import json
 import sys
+from importlib import resources
 
 from .errors import DecodeError, excerpt
+
+
+def shipped(name: str) -> str:
+    """The text of the package data file data/name."""
+    return resources.files("fatiguekit").joinpath(f"data/{name}").read_text("utf-8")
 
 
 def text(data: bytes | str, what: str) -> str:

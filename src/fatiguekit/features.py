@@ -22,13 +22,12 @@ events per minute for frequencies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
-from importlib import resources
 
 import numpy as np
 
+from . import _inputs
 from .errors import (
     ArgumentError,
     InsufficientDataError,
@@ -49,8 +48,7 @@ _BLINK_MIN_S = 0.2
 _MICROSLEEP_MIN_S = 0.5
 
 # The shipped config's features block, the one home of each tunable's default.
-_SHIPPED = json.loads(resources.files("fatiguekit").joinpath(
-    "data/default_config.json").read_text("utf-8"))["features"]
+_SHIPPED = _inputs.json_object(_inputs.shipped("default_config.json"), "config")["features"]
 
 
 @dataclass(frozen=True, slots=True)

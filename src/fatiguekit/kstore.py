@@ -16,7 +16,6 @@ import graphlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from importlib import resources
 
 from . import _inputs
 from .errors import ArgumentError, DecodeError, UnknownClassError, excerpt
@@ -330,7 +329,7 @@ def _decode_ontology(data: bytes | str) -> Ontology:
 @cache
 def ontology() -> Ontology:
     """The shipped ontology, read once per process."""
-    return _decode_ontology((resources.files("fatiguekit") / "data/ontology.json").read_bytes())
+    return _decode_ontology(_inputs.shipped("ontology.json"))
 
 
 def default_taxonomy(scheme=None) -> Taxonomy:

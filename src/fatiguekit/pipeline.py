@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from . import _inputs
@@ -101,8 +100,7 @@ class PipelineConfig:
 
 
 def default_config_text() -> str:
-    return resources.files("fatiguekit").joinpath(
-        "data/default_config.json").read_text("utf-8")
+    return _inputs.shipped("default_config.json")
 
 
 def load_config(data: bytes | str | None = None, *,

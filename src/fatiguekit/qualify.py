@@ -13,10 +13,8 @@ degrees anywhere downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 
 from . import _inputs
 from .errors import SchemeError, UnboundFeatureError, excerpt
@@ -174,8 +172,8 @@ def _bands_from_mapping(obj: dict) -> dict:
 @cache
 def default_scheme() -> QualificationScheme:
     """The scheme shipped with the package, read once. Covers every feature."""
-    return QualificationScheme(_bands_from_mapping(json.loads(resources.files(
-        "fatiguekit").joinpath("data/default_scheme.json").read_text("utf-8"))))
+    return QualificationScheme(_bands_from_mapping(
+        _inputs.json_object(_inputs.shipped("default_scheme.json"), "scheme")))
 
 
 def load_scheme(config: bytes | str | None = None) -> QualificationScheme:

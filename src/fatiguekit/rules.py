@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from importlib import resources
 
 from . import _inputs
 from .errors import (
@@ -259,9 +258,7 @@ def load_stock_pack(variant: str = "corrected", taxonomy: Taxonomy | None = None
     """A shipped pack, "corrected" (default) or "verbatim", parsed as by parse_rules."""
     if variant not in ("corrected", "verbatim"):
         raise ArgumentError(f"unknown stock rule pack {variant!r}")
-    text = resources.files("fatiguekit").joinpath(
-        f"data/rules/table1_{variant}.rules").read_text("utf-8")
-    return parse_rules(text, taxonomy)
+    return parse_rules(_inputs.shipped(f"rules/table1_{variant}.rules"), taxonomy)
 
 
 def dead_conditions(pack: RulePack, scheme: QualificationScheme,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _inputs
 from .errors import ScenarioSpecError, excerpt
-from .signals import CHANNELS, Trace, _readonly
+from .signals import CHANNELS, Trace, _grid, _readonly
 
 __all__ = ["REGIMES", "ScenarioSpec", "Segment", "generate_scenario", "parse_scenario_spec",
            "simple_spec"]
@@ -229,27 +229,20 @@ def generate_scenario(spec: ScenarioSpec) -> Trace:
     invariants satisfied.
 
     Raises:
-        ScenarioSpecError: a segment whose grid holds more frames than a
-            numpy index counts or numpy can allocate, naming the count.
+        ScenarioSpecError: a segment grid past a numpy index or memory,
+            naming the count, or frame times repeated in float64.
     """
     rate = spec.sample_rate
     parts = []  # (times, channels) of each segment that holds a frame
     next_k = 0
     for index, seg in enumerate(spec.segments):
         rng = np.random.default_rng([spec.seed & 0xFFFFFFFF, index])
-        # the segment's grid k0 .. ceil(end * rate), counted in Python integers
         end_k = seg.end * rate
         k0 = max(math.ceil(seg.start * rate - 1e-9), next_k) if math.isfinite(end_k) else 0
-        count = math.ceil(end_k) + 1 - k0 if math.isfinite(end_k) else math.inf
-        need = (f"duration {spec.duration} at sample_rate {rate} needs {count:.3g} frames "
-                f"for segment [{seg.start}, {seg.end})")
-        if count > np.iinfo(np.intp).max:
-            raise ScenarioSpecError(need)
-        try:
-            t = np.arange(k0, k0 + count) / rate
-        except MemoryError:  # a grid numpy refuses to allocate
-            raise ScenarioSpecError(need) from None
-        t = t[t < seg.end - 1e-12]
+        t = _grid(k0, end_k, lambda k: k / rate, seg.end - 1e-12, ScenarioSpecError,
+                  lambda count: f"duration {spec.duration} at sample_rate {rate} needs "
+                                f"{count:.3g} frames for segment [{seg.start}, {seg.end})",
+                  parts[-1][0][-1] if parts else -math.inf)
         if len(t) == 0:
             continue
         next_k = k0 + len(t)

@@ -191,8 +191,6 @@ class Trace:
                         for name in self.channels
                         for a, b in zip(self._columns[name], other._columns[name])))
 
-    __hash__ = None
-
 
 @dataclass(frozen=True, slots=True)
 class Window:
@@ -558,6 +556,27 @@ def serialize_trace(trace: Trace | Iterable[SignalFrame], format: str = "csv") -
     return buf.getvalue()
 
 
+def _grid(k0, k1, scale, below, error, need, after=-math.inf) -> np.ndarray:
+    """scale(k) below `below` for the integers k0 .. ceil(k1), counted in Python integers
+    first: k * stride in make_windows, k / sample_rate in generate_scenario. Raises
+    error(need(count)) for a grid past a numpy index or memory, or error naming the
+    first point that float64 puts no higher than the one before (than `after`)."""
+    count = math.ceil(k1) + 1 - k0 if math.isfinite(k1) else math.inf
+    if count > np.iinfo(np.intp).max:
+        raise error(need(count))
+    try:
+        grid = scale(np.arange(k0, k0 + count))
+    except MemoryError:  # a grid numpy refuses to allocate
+        raise error(need(count)) from None
+    grid = grid[:np.searchsorted(grid, below)]  # scaling keeps the points in order
+    stuck = np.concatenate([grid[:1] <= after, grid[1:] <= grid[:-1]])
+    if stuck.any():
+        i = int(stuck.argmax())
+        raise error(f"{need(count)}, but in float64 point {float(grid[i])!r} does not "
+                    f"increase past {float(grid[i - 1] if i else after)!r}")
+    return grid
+
+
 def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     """Slice a trace into half-open windows.
 
@@ -571,8 +590,8 @@ def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     windows at once with one search per channel.
 
     Raises:
-        ArgumentError: a length or stride not finite and positive, or more
-            window starts than a numpy index counts or numpy can allocate.
+        ArgumentError: a length or stride not finite and positive, or window
+            starts past a numpy index or memory, or repeated in float64.
     """
     if not (math.isfinite(length) and length > 0):
         raise ArgumentError(f"window length must be finite and positive, got {length}")
@@ -582,20 +601,12 @@ def make_windows(trace: Trace, length: float, stride: float) -> list[Window]:
     if len(t) < 2:
         return []
     last_t = float(t[-1])
-    # starts k0 * stride .. k1 * stride, counted in Python integers; a finite
-    # k1 bounds k0, as (t[0] - length) / stride <= k1
+    # a finite k1 bounds k0, as (t[0] - length) / stride <= k1
     k1 = last_t / stride
     k0 = math.floor(max(0.0, (float(t[0]) - length) / stride)) if math.isfinite(k1) else 0
-    count = math.ceil(k1) + 1 - k0 if math.isfinite(k1) else math.inf
-    need = (f"window length {length} and stride {stride} need "
-            f"{count:.3g} window starts to reach t={last_t}")
-    if count > np.iinfo(np.intp).max:
-        raise ArgumentError(need)
-    try:
-        starts = np.arange(k0, k0 + count) * stride
-    except MemoryError:  # a grid numpy refuses to allocate
-        raise ArgumentError(need) from None
-    starts = starts[starts < last_t]
+    starts = _grid(k0, k1, lambda k: k * stride, last_t, ArgumentError,
+                   lambda count: f"window length {length} and stride {stride} need "
+                                 f"{count:.3g} window starts to reach t={last_t}")
     ends = starts + length
     lo = np.searchsorted(t, starts)
     hi = np.searchsorted(t, ends)

@@ -412,6 +412,14 @@ DUMP = ["snapshot", "dump", "snap.json"]
         {"start": 0.0, "end": 1e300, "regime": "alert"}]}},
                  "duration 1e+300 at sample_rate 1e+300 needs inf frames",
                  id="spec-grid-infinite"),
+    # grids whose points float64 rounds together: 0.1 s frames and 10 s window
+    # starts where float64 spaces values 16 s apart
+    pytest.param(GEN, {"spec.json": {"duration": 1e17, "segments": [
+        {"start": 99999999999999900, "end": 1e17, "regime": "alert"}]}},
+                 "does not increase past", id="spec-grid-repeats"),
+    pytest.param(RUN, {"c.json": {}, "t.csv": ("t,swa\n" + "".join(
+        f"{1e17 + 16.0 * i!r},1.0\n" for i in range(40))).encode()},
+                 "does not increase past", id="trace-window-starts-repeat"),
     pytest.param(["rules", "check", "bad.rules"], {"bad.rules": (
         "rule r1: when instance(?x, " + "C" * 300
         + ") then classify(?x, SteeringWheelMeasurmentFatigue_Low)\n").encode()},

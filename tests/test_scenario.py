@@ -101,6 +101,21 @@ class TestGeneratorBasics:
                 f"duration 1e+300 at sample_rate {rate} needs {count} frames")):
             generate_scenario(spec)
 
+    @pytest.mark.parametrize("spec, repeat", [
+        # 1 000 frames 0.1 s apart where float64 spaces values 16 apart: the
+        # generator wrote 960 frames with only 6 distinct times
+        (parse_scenario_spec('{"duration": 1e17, "segments": [{"start": 99999999999999900, '
+                             '"end": 1e17, "regime": "alert"}]}'), "9.99999999999999e+16"),
+        # one frame in each segment, both rounded to the same time
+        (ScenarioSpec(duration=8436229172059577.0, sample_rate=2.365628319657136, segments=(
+            Segment(8436229172059575.0, 8436229172059576.0, "alert"),
+            Segment(8436229172059576.0, 8436229172059577.0, "drowsy"))), "8436229172059575.0"),
+    ], ids=["within-a-segment", "across-a-boundary"])
+    def test_times_float64_cannot_tell_apart_are_a_spec_error(self, spec, repeat):
+        with pytest.raises(ScenarioSpecError, match=re.escape(
+                f"but in float64 point {repeat} does not increase past {repeat}")):
+            generate_scenario(spec)
+
     def test_sampling_grid(self):
         frames = generate_scenario(simple_spec("alert", duration=60.0))
         assert len(frames) == 600

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -261,6 +262,16 @@ class TestMakeWindows:
         trace = Trace.from_frames([SignalFrame(t=0.0), SignalFrame(t=0.1)])
         with pytest.raises(ArgumentError, match=f"length 10.0 and stride {stride} need"):
             make_windows(trace, 10.0, stride)
+
+    def test_starts_float64_cannot_tell_apart(self):
+        # float64 spaces values 16 apart at 1e17, so starts 10 s apart repeat;
+        # the windower returned 23 windows with 11 distinct starts
+        trace = Trace.from_frames([SignalFrame(t=1e17 + 16.0 * i) for i in range(12)])
+        with pytest.raises(ArgumentError, match=re.escape(
+                "length 60.0 and stride 10.0 need 25 window starts to reach "
+                "t=1.0000000000000018e+17, but in float64 point 9.999999999999997e+16 "
+                "does not increase past 9.999999999999997e+16")):
+            make_windows(trace, 60.0, 10.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("which", ["length", "stride"])
@@ -689,6 +700,8 @@ class TestColumnViews:
         trace = Trace.from_frames([SignalFrame(t=0.0, swa=1.0)])
         assert trace.__eq__("x") is NotImplemented
         assert not trace == "x" and trace != "x"
+        with pytest.raises(TypeError):
+            hash(trace)  # it defines __eq__, so it is unhashable
 
     def test_from_frames_rejects_unordered_times(self):
         with pytest.raises(ArgumentError, match="not strictly increasing at t=1.0"):
